@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,18 +30,81 @@ SUITES = ("fourier", "unitarity", "gauge", "abelian-baseline",
 
 # ---------------------------------------------------------------- config
 
-def load_config(path):
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+def _read_json(path, what):
+    if not isinstance(path, str) or not Path(path).is_file():
+        raise ConfigError(f"{what} not found: {path}")
     try:
-        with open(p) as fh:
-            cfg = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def load_config(path):
+    cfg = _read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
+
+
+def _as_int(value):
+    """The integer a JSON number stands for, or None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if isinstance(value, float) and not value.is_integer():
+        return None
+    return int(value)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _inline_algebra(data):
+    """Check the shape of a {dim, brackets} object, then build the algebra."""
+    if not isinstance(data, dict):
+        raise ConfigError("inline algebra must be an object")
+    dim = _as_int(data.get("dim"))
+    if dim is None or dim < 1:
+        raise ConfigError("inline algebra needs an integer 'dim' >= 1")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ConfigError("algebra 'brackets' must be a list")
+    for entry in brackets:
+        if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= entry.keys():
+            raise ConfigError("each algebra bracket needs 'i', 'j' and 'coeffs'")
+        if any(_as_int(entry[k]) is None or not 1 <= entry[k] <= dim
+               for k in ("i", "j")):
+            raise ConfigError(f"bracket indices must be integers in 1..{dim}")
+        coeffs = entry["coeffs"]
+        if not (isinstance(coeffs, list) and len(coeffs) == dim
+                and all(_is_number(c) for c in coeffs)):
+            raise ConfigError(f"bracket coeffs must be a list of {dim} numbers")
+    return lie_core.algebra_from_dict(data)
+
+
+def _inline_potential(data, algebra):
+    """Check the shape of a {components} object, then build the potential."""
+    d = algebra.dim
+    comps = data.get("components") if isinstance(data, dict) else None
+    if not isinstance(comps, list) or len(comps) != d:
+        raise ConfigError(
+            f"inline potential needs 'components', a list of {d} term lists")
+    for comp in comps:
+        if not isinstance(comp, list):
+            raise ConfigError("each potential component must be a list of terms")
+        for term in comp:
+            if not isinstance(term, dict) or not {"exponents", "coeff"} <= term.keys():
+                raise ConfigError("each potential term needs 'exponents' and 'coeff'")
+            exps = term["exponents"]
+            if not (isinstance(exps, list) and len(exps) == d
+                    and all(_as_int(e) is not None and 0 <= e <= magnetic.MAX_DEGREE
+                            for e in exps)):
+                raise ConfigError(f"potential exponents must be {d} integers "
+                                  f"in 0..{magnetic.MAX_DEGREE}")
+            if not _is_number(term["coeff"]):
+                raise ConfigError("potential coefficients must be numbers")
+    return magnetic.potential_from_dict(algebra, data)
 
 
 def _algebra_from_spec(spec):
@@ -51,12 +115,8 @@ def _algebra_from_spec(spec):
             raise ConfigError(str(exc)) from None
     if isinstance(spec, dict):
         if "file" in spec:
-            p = Path(spec["file"])
-            if not p.is_file():
-                raise ConfigError(f"algebra file not found: {p}")
-            with open(p) as fh:
-                return lie_core.algebra_from_dict(json.load(fh))
-        return lie_core.algebra_from_dict(spec)
+            return _inline_algebra(_read_json(spec["file"], "algebra file"))
+        return _inline_algebra(spec)
     raise ConfigError("algebra spec must be a preset name or an object")
 
 
@@ -70,12 +130,8 @@ def _potential_from_spec(spec, algebra):
             raise ConfigError(str(exc)) from None
     if isinstance(spec, dict):
         if "file" in spec:
-            p = Path(spec["file"])
-            if not p.is_file():
-                raise ConfigError(f"potential file not found: {p}")
-            with open(p) as fh:
-                return magnetic.potential_from_dict(algebra, json.load(fh))
-        return magnetic.potential_from_dict(algebra, spec)
+            return _inline_potential(_read_json(spec["file"], "potential file"), algebra)
+        return _inline_potential(spec, algebra)
     raise ConfigError("potential spec must be a preset name or an object")
 
 
@@ -83,11 +139,12 @@ def _grid_from_spec(spec, algebra):
     if not isinstance(spec, dict) or "N" not in spec or "L" not in spec:
         raise ConfigError("grid spec must be an object with N and L")
     N, L = spec["N"], spec["L"]
-    if int(N) != N or N < 2 or N % 2 != 0:
-        raise ConfigError(f"grid N must be an even integer >= 2, got {N}")
-    if not (isinstance(L, (int, float)) and L > 0):
+    n = _as_int(N)
+    if n is None or n < 2 or n % 2 != 0:
+        raise ConfigError(f"grid N must be an even integer >= 2, got {N!r}")
+    if not (_is_number(L) and L > 0):
         raise ConfigError(f"grid L must be positive, got {L}")
-    return sp.make_grid(algebra.dim, int(N), float(L))
+    return sp.make_grid(algebra.dim, n, float(L))
 
 
 def _boxed_widths(grid):
@@ -468,6 +525,20 @@ def cmd_suite(args):
     return 0 if write_report(_resolve_out(cfg, args), checks) else 1
 
 
+def _resolve_threads(threads):
+    """The --threads value, else MAGWEYL_THREADS, validated once per run."""
+    if threads is None:
+        raw = os.environ.get("MAGWEYL_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"MAGWEYL_THREADS must be an integer >= 1, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"the thread count must be >= 1, got {threads}")
+    return threads
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="magweyl",
@@ -485,6 +556,7 @@ def main(argv=None):
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
+        args.threads = _resolve_threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)

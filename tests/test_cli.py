@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from magweyl import cli
+from magweyl import lie_core as lc
+from magweyl import magnetic as mg
 from magweyl import symbol_space as sp
 from magweyl.errors import ConfigError
 
@@ -62,6 +64,38 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, algebra=heis)
         out = str(tmp_path / "o")
         assert run("verify-algebra", "--config", cfg, "--out", out) == 0
+
+    def test_inline_algebra_without_dim(self, tmp_path, capsys):
+        bad = {"brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}
+        cfg = write_config(tmp_path, algebra=bad)
+        assert run("verify-algebra", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and "'dim'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_inline_potential_exponent_length(self, tmp_path, capsys):
+        heis = lc.algebra_preset("heisenberg:3")
+        good = mg.potential_to_dict(mg.potential_preset("heisenberg-linear:0.4", heis))
+        body = {"algebra": "heisenberg:3", "grid": {"N": 4, "L": 3.0},
+                "suites": ["fourier"]}
+        cfg = write_config(tmp_path, **body, potential=good)
+        assert run("suite", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        bad = {"components": [[{"exponents": [1, 0], "coeff": 0.4}], [], []]}
+        cfg = write_config(tmp_path, **body, potential=bad)
+        capsys.readouterr()
+        assert run("suite", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and "exponents" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_non_integer_threads_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MAGWEYL_THREADS", "two")
+        cfg = write_config(tmp_path, **{**CHEAP, "suites": ["fourier"]})
+        assert run("suite", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and "MAGWEYL_THREADS" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyAlgebra:

@@ -1,0 +1,35 @@
+"""Guards on the library source that no numerical test would notice."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "magweyl"
+
+
+def exp_of_matmul_lines(source):
+    """Line numbers of np.exp(...) calls whose argument contains an @."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exp" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            continue
+        if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)
+               for arg in node.args for sub in ast.walk(arg)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_flags_exp_of_matmul():
+    assert exp_of_matmul_lines("np.exp(1j * x @ k.T)") == [1]
+    assert exp_of_matmul_lines("np.exp(1j * x) @ k") == []
+
+
+def test_no_exp_of_a_matmul_in_library():
+    # numpy's complex exp runs an order of magnitude slower right after a
+    # complex BLAS product; phase tables are built from broadcast products
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    offenders = [f"{p.name}:{line}" for p in files
+                 for line in exp_of_matmul_lines(p.read_text())]
+    assert not offenders, f"np.exp of a matmul at {', '.join(offenders)}"

@@ -1,6 +1,7 @@
 """Tests for kernels, the twisted representation, and the Moyal product."""
 
 import numpy as np
+import oracles
 import pytest
 
 from magweyl import lie_core as lc
@@ -233,7 +234,7 @@ class TestRepresentation:
         f = sp.ConfigField(ctx.grid, np.exp(-y ** 2 / 2) * (1 + 0.3 * y))
         X, xi = np.array([0.4]), np.array([-0.7])
         out = wl.pi_action(ctx, X, xi, f)
-        shifted = wl._trig_eval(f, (y - X[0])[:, None])
+        shifted = oracles.trig_eval_dense(f, (y - X[0])[:, None])
         oracle = np.exp(1j * (xi[0] * y - 0.5 * xi[0] * X[0])) * shifted
         assert np.abs(out.values - oracle).max() / np.abs(oracle).max() < 1e-12
 
@@ -282,6 +283,44 @@ class TestRepresentation:
         other = sp.ConfigField(sp.make_grid(1, 16, 4.0), np.zeros(16))
         with pytest.raises(ShapeError):
             wl.pi_action(ctx, np.zeros(1), np.zeros(1), other)
+
+
+class TestDenseOracles:
+    """The phase-table evaluators reproduce the dense per-pair mode sums."""
+
+    @staticmethod
+    def rel(fast, dense):
+        return np.abs(fast - dense).max() / np.abs(dense).max()
+
+    def test_trig_eval_at_translated_grid_heisenberg(self):
+        ctx = heis_ctx(8, 6.0)
+        f = sp.sample_config(
+            lambda Y: np.exp(-(Y ** 2).sum(-1) / 2) * (1 + 0.3 * Y[..., 0]), ctx.grid)
+        pts = lc.bch(HEIS, -np.array([0.4, -0.2, 0.3]), wl._grid_points(ctx))
+        assert self.rel(wl._trig_eval(f, pts), oracles.trig_eval_dense(f, pts)) < 1e-13
+
+    def test_trig_eval_at_random_points_filiform(self):
+        grid = sp.make_grid(4, 4, 3.0)
+        rng = np.random.default_rng(5)
+        f = sp.ConfigField(grid, rng.normal(size=(4,) * 4)
+                           + 1j * rng.normal(size=(4,) * 4))
+        pts = rng.uniform(-3.0, 3.0, size=(300, 4))
+        assert self.rel(wl._trig_eval(f, pts), oracles.trig_eval_dense(f, pts)) < 1e-13
+
+    def test_general_kernel_filiform_linear_potential(self):
+        grid = sp.make_grid(4, 2, 3.0)
+        B = np.random.default_rng(6).uniform(-0.5, 0.5, size=(4, 4))
+        tables = []
+        for i in range(4):
+            t = np.zeros((2,) * 4)  # A_i(x) = sum_j B[i, j] x_j
+            for j in range(4):
+                t[tuple(np.eye(4, dtype=int)[j])] = B[i, j]
+            tables.append(t)
+        ctx = wl.make_context(FIL, mg.make_potential(FIL, tables), grid)
+        a = boxed_gaussian(grid, centers_x=[0.2, -0.1, 0.0, 0.1],
+                           centers_xi=[0.1, 0.0, -0.2, 0.1])
+        K = wl.kernel_from_symbol(ctx, a)
+        assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) < 1e-13
 
 
 class TestDerivativeCheck:
