@@ -60,6 +60,20 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    """A JSON number that is a finite float (not NaN, +-Infinity or a huge int)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _finite_vector(spec, key, d):
+    """spec[key] as a length-d array of finite numbers (zeros when absent)."""
+    value = spec.get(key, [0.0] * d)
+    if not (isinstance(value, list) and len(value) == d
+            and all(_is_finite(v) for v in value)):
+        raise ConfigError(f"symbol {key!r} must be a list of {d} finite numbers")
+    return np.asarray(value, dtype=float)
+
+
 def _inline_algebra(data):
     """Check the shape of a {dim, brackets} object, then build the algebra."""
     if not isinstance(data, dict):
@@ -142,8 +156,11 @@ def _grid_from_spec(spec, algebra):
     n = _as_int(N)
     if n is None or n < 2 or n % 2 != 0:
         raise ConfigError(f"grid N must be an even integer >= 2, got {N!r}")
-    if not (_is_number(L) and L > 0):
-        raise ConfigError(f"grid L must be positive, got {L}")
+    # both grid steps, h = 2L/N and dxi = pi/L, must be finite floats
+    if not (_is_finite(L) and L > 0 and 2.0 * L / n <= sys.float_info.max
+            and np.pi / L <= sys.float_info.max):
+        raise ConfigError(f"grid L must be positive with finite steps 2L/N and pi/L, "
+                          f"got {L!r}")
     return sp.make_grid(algebra.dim, n, float(L))
 
 
@@ -162,16 +179,12 @@ def _symbol_from_spec(spec, grid):
         return sp.SymbolField(grid, np.zeros((n,) * (2 * d)))
     if kind not in ("gaussian", "poly-gaussian"):
         raise ConfigError(f"unknown symbol kind {kind!r}")
-    cx = np.asarray(spec.get("centers_x", [0.0] * d), dtype=float)
-    cxi = np.asarray(spec.get("centers_xi", [0.0] * d), dtype=float)
-    if cx.shape != (d,) or cxi.shape != (d,):
-        raise ConfigError(f"symbol centers must have length {d}")
-    amp = float(spec.get("amplitude", 1.0))
+    cx, cxi, lin_x, lin_xi = (_finite_vector(spec, key, d) for key in
+                              ("centers_x", "centers_xi", "linear_x", "linear_xi"))
+    amp = spec.get("amplitude", 1.0)
+    if not _is_finite(amp):
+        raise ConfigError(f"symbol 'amplitude' must be a finite number, got {amp!r}")
     sx, sxi = _boxed_widths(grid)
-    lin_x = np.asarray(spec.get("linear_x", [0.0] * d), dtype=float)
-    lin_xi = np.asarray(spec.get("linear_xi", [0.0] * d), dtype=float)
-    if lin_x.shape != (d,) or lin_xi.shape != (d,):
-        raise ConfigError(f"symbol linear coefficients must have length {d}")
     if kind == "gaussian" and (np.any(lin_x) or np.any(lin_xi)):
         raise ConfigError("linear coefficients need kind 'poly-gaussian'")
 

@@ -18,8 +18,12 @@ are built on. On two-step algebras gamma is the straight segment from Y to
 Z, and the integrand reduces to <A(sZ+(1-s)Y), Y-Z>. The often-quoted
 straight-segment form pairing A against Z*(-Y) instead of Z-Y agrees with
 this exactly when A annihilates the derived subalgebra, and otherwise picks
-up the extra central factor exp((i/2) INT <A(seg), [Z,Y]> ds); see
-alpha_phase_segment_form.
+up the extra central factor exp((i/2) INT <A(seg), [Z,Y]> ds); the tests
+keep that form (tests/oracles.py) and pin the factor.
+
+The exponent of alpha is itself a real polynomial in (Y, Z) of total degree
+at most alpha_degree(A), so grid-wide phase tables need the quadrature only
+on a small node set (see weyl_calculus._grid_pair_values).
 """
 
 from __future__ import annotations
@@ -228,14 +232,31 @@ def _alpha_nodes(A):
     return ceil((max(by_words, quoted) + 1) / 2)
 
 
-def alpha_phase(A, Y, Z):
-    """The unimodular phase factor alpha_A(Y, Z).
+def alpha_degree(A):
+    """Bound on the total degree of alpha_exponent(A, Y, Z) in (Y, Z).
+
+    Equals (A.degree + 1) (n + 1) for an algebra of class n. Proof: call a
+    polynomial map into g filtered when, in a basis adapted to the lower
+    central series g = g_0 > ... > g_n, its coordinates along g_k (modulo
+    g_{k+1}) have degree <= k + 1. The identity maps Y and Z are filtered,
+    and so is the bracket of two filtered maps, because [g_i, g_j] lies in
+    g_{i+j+1} and a product of parts of degree <= i + 1 and <= j + 1 has
+    degree <= i + j + 2. Every BCH expression is a combination of brackets,
+    so W = Z*(-Y), gamma(s) = (s W)*Y and (R_gamma)'_0(-W) are filtered
+    for each s, hence of degree <= n + 1 in every coordinate. A(gamma) then
+    has degree <= D (n + 1), the pairing <A(gamma), (R_gamma)'_0(-W)>
+    degree <= (D + 1)(n + 1), and the s-integral does not raise it.
+    """
+    return (A.degree + 1) * (A.algebra.nilpotency_class + 1)
+
+
+def alpha_exponent(A, Y, Z):
+    """The real exponent of alpha_phase: alpha = exp(i alpha_exponent).
 
     Line integral of the potential along gamma(s) = (s (Z*(-Y))) * Y paired
     with the right-translation differential of Y*(-Z); Gauss-Legendre with a
     node count covering the polynomial degree of the integrand, so the value
-    is exact to round-off. |alpha| = 1 exactly (exponential of i times a
-    real number). Batched over leading axes of Y and Z.
+    is exact to round-off. Batched over leading axes of Y and Z.
     """
     alg = A.algebra
     Y = np.asarray(Y, dtype=float)
@@ -246,26 +267,16 @@ def alpha_phase(A, Y, Z):
     for s, w in zip(nodes, weights):
         gamma = lie_core.bch(alg, s * W, Y)
         phase = phase + w * pairing_AR(A, gamma, -W)
-    return np.exp(1j * phase)
+    return phase
 
 
-def alpha_phase_segment_form(A, Y, Z):
-    """Straight-segment phase exp(-i INT <A(sZ+(1-s)Y), Z*(-Y)> ds).
+def alpha_phase(A, Y, Z):
+    """The unimodular phase factor alpha_A(Y, Z), pointwise.
 
-    Valid shortcut for alpha_phase on two-step algebras when every value of
-    A annihilates the derived subalgebra; in general this form equals
-    alpha_phase times exp((i/2) INT <A(sZ+(1-s)Y), [Z,Y]> ds).
+    exp(i alpha_exponent(A, Y, Z)), so |alpha| = 1 exactly. Batched over
+    leading axes of Y and Z.
     """
-    alg = A.algebra
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    W = lie_core.bch(alg, Z, -Y)
-    nodes, weights = lie_core.gauss01(max(1, ceil((A.degree + 1) / 2)))
-    phase = 0.0
-    for s, w in zip(nodes, weights):
-        seg = s * Z + (1.0 - s) * Y
-        phase = phase - w * np.einsum('...i,...i->...', evaluate_potential(A, seg), W)
-    return np.exp(1j * phase)
+    return np.exp(1j * alpha_exponent(A, Y, Z))
 
 
 def potential_preset(name, algebra):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -91,17 +92,56 @@ def _grid_points(ctx):
     return ctx._cache["points"]
 
 
+def _lagrange_matrix(x, nodes):
+    """L[i, j] = l_j(x_i): the Lagrange basis of the nodes at the points x.
+
+    Rows at a node are exact unit vectors (every factor is 1.0 or 0.0).
+    """
+    out = np.ones((x.size, nodes.size))
+    for j in range(nodes.size):
+        for k in range(nodes.size):
+            if k != j:
+                out[:, j] *= (x - nodes[k]) / (nodes[j] - nodes[k])
+    return out
+
+
+def _grid_pair_values(grid, fn, degree):
+    """fn(Y, Z) on all grid pairs, shape (N^d, N^d), for a polynomial fn.
+
+    fn must be a real polynomial of degree <= degree in each of the 2d
+    coordinates of (Y, Z), batched over leading axes. It is evaluated only
+    on the tensor sub-grid of m = min(N, degree + 1) grid nodes per axis,
+    (m^d)^2 pairs in _PAIR_BUDGET blocks, and expanded to every pair by
+    per-axis Lagrange interpolation, which is exact for such fn up to
+    round-off. With m = N the Lagrange matrix is the identity, so every
+    value is fn's own, bit for bit.
+    """
+    d, N = grid.dim, grid.points_per_axis
+    m = min(N, degree + 1)
+    nodes = grid.axis_x[np.round(np.linspace(0, N - 1, m)).astype(int)]
+    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    n = pts.shape[0]
+    vals = np.empty((n, n))
+    block = max(1, _PAIR_BUDGET // n)
+    for start in range(0, n, block):
+        vals[start:start + block] = fn(pts[start:start + block, None, :], pts[None, :, :])
+    lag = _lagrange_matrix(grid.axis_x, nodes)
+    out = vals.reshape((m,) * (2 * d))
+    # contract the leading axis and append the expanded one: after 2d steps
+    # the axes are back in (Y axes..., Z axes...) order
+    for _ in range(2 * d):
+        out = np.tensordot(out, lag, axes=([0], [1]))
+    return out.reshape(N ** d, N ** d)
+
+
 def _alpha_matrix(ctx):
     """alpha(Y, Z) on all grid pairs, shape (N^d, N^d). Cached."""
     if "alpha" not in ctx._cache:
-        pts = _grid_points(ctx)
-        n = pts.shape[0]
-        out = np.empty((n, n), dtype=complex)
-        block = max(1, _PAIR_BUDGET // n)
-        for start in range(0, n, block):
-            ys = pts[start:start + block, None, :]
-            out[start:start + block] = magnetic.alpha_phase(ctx.potential, ys, pts[None, :, :])
-        ctx._cache["alpha"] = out
+        A = ctx.potential
+        e = _grid_pair_values(ctx.grid, partial(magnetic.alpha_exponent, A),
+                              magnetic.alpha_degree(A))
+        ctx._cache["alpha"] = np.exp(1j * e)
     return ctx._cache["alpha"]
 
 
@@ -597,6 +637,23 @@ def _half_transform_table(ctx, symbol):
     return np.ascontiguousarray(vals.reshape((N ** d,) + vals.shape[d:]))
 
 
+def _moyal_beta(ctx, X):
+    """beta(X; Z, T) of the direct product formula, shape (N^d, N^d) over (T, Z).
+
+    Its exponent -e(Y0, Z0) + e(Y0, S) + e(S, Z0), e = alpha_exponent, is
+    alpha's exponent under affine substitutions of (T, Z), so it keeps
+    alpha_degree and is compiled the same way as the alpha matrix.
+    """
+    A = ctx.potential
+
+    def exponent(T, Z):
+        Y0, Z0, S = X + Z - T, X + T - Z, Z + T - X
+        return (magnetic.alpha_exponent(A, Y0, S) + magnetic.alpha_exponent(A, S, Z0)
+                - magnetic.alpha_exponent(A, Y0, Z0))
+
+    return np.exp(1j * _grid_pair_values(ctx.grid, exponent, magnetic.alpha_degree(A)))
+
+
 def moyal_2step_point(ctx, a, b, X, xi):
     """The twisted product of two symbols at one phase-space point, directly.
 
@@ -615,7 +672,7 @@ def moyal_2step_point(ctx, a, b, X, xi):
     compose-then-invert route. X must lie on the position grid (only then
     are u and v on-grid in the non-central coordinates).
     """
-    alg, grid, A = ctx.algebra, ctx.grid, ctx.potential
+    alg, grid = ctx.algebra, ctx.grid
     if alg.nilpotency_class > 1:
         raise WrongClass("the direct product formula needs an algebra of class <= 1")
     d, N = grid.dim, grid.points_per_axis
@@ -652,6 +709,7 @@ def moyal_2step_point(ctx, a, b, X, xi):
         val = _contract_modes(val, first_idx.ndim, phases)
         return np.where(ok, val, 0.0)
 
+    beta = _moyal_beta(ctx, X)
     total = 0.0 + 0.0j
     block = max(1, _PAIR_BUDGET // n)
     z_flat = np.arange(n)
@@ -666,16 +724,10 @@ def moyal_2step_point(ctx, a, b, X, xi):
         v = 2 * ZmX + np.einsum('ijk,...i,...j->...k', cstr, Tb, ZmX)
         At = gather(Ca, np.broadcast_to(z_flat[None, :], (nt, n)), u)
         Bt = gather(Cb, np.broadcast_to(np.arange(t0, t0 + nt)[:, None], (nt, n)), v)
-        Y0 = X + Zb - Tb
-        Z0 = X + Tb - Zb
-        S = Zb + Tb - X
-        beta = (np.conj(magnetic.alpha_phase(A, Y0, Z0))
-                * magnetic.alpha_phase(A, Y0, S)
-                * magnetic.alpha_phase(A, S, Z0))
         diff = Zb - Tb
         phase_vec = 2 * diff + np.einsum('ijk,i,...j->...k', cstr, X, diff)
         phase = np.exp(-1j * np.einsum('k,...k->...', xi, phase_vec))
-        total += np.sum(beta * At * Bt * phase)
+        total += np.sum(beta[t0:t0 + nt] * At * Bt * phase)
     return complex(total * h ** (2 * d) / np.pi ** (2 * d))
 
 

@@ -1,13 +1,17 @@
 """Dense reference evaluators, kept as cross-check oracles for the tests.
 
-Each forms one complex exponential per (point, mode) pair, straight from the
-defining sums, so it is slow but has no structure to get wrong. The library
-evaluates the same sums through separable phase tables.
+Each evaluates its defining formula at every point or pair, with no
+structure to get wrong, so it is slow: the mode sums form one complex
+exponential per (point, mode) pair, and the phase factors run the alpha
+quadrature on every grid pair. The library evaluates the same sums through
+separable phase tables and compiles the phases on a small node sub-grid.
 """
+
+from math import ceil
 
 import numpy as np
 
-from magweyl import lie_core
+from magweyl import lie_core, magnetic
 from magweyl import weyl_calculus as wl
 from magweyl.symbol_space import fourier_g
 
@@ -56,4 +60,61 @@ def kernel_general_dense(ctx, a):
         bad = np.any(np.abs(W) >= 2 * L, axis=-1) | np.any(np.abs(M) > L, axis=-1)
         vals[bad] = 0.0
         K[row] = vals
-    return K * wl._alpha_matrix(ctx)
+    return K * alpha_matrix_dense(ctx)
+
+
+def alpha_exponent_dense(ctx, rows=None):
+    """alpha's exponent by the quadrature at every grid pair, shape (N^d, N^d).
+
+    rows, an index array, restricts Y to those grid points.
+    """
+    pts = wl._grid_points(ctx)
+    ys = pts if rows is None else pts[rows]
+    n = pts.shape[0]
+    out = np.empty((ys.shape[0], n))
+    block = max(1, wl._PAIR_BUDGET // n)
+    for start in range(0, ys.shape[0], block):
+        out[start:start + block] = magnetic.alpha_exponent(
+            ctx.potential, ys[start:start + block, None, :], pts[None, :, :])
+    return out
+
+
+def alpha_matrix_dense(ctx, rows=None):
+    """alpha(Y, Z) at every grid pair: alpha_phase, pair by pair, bit for bit."""
+    return np.exp(1j * alpha_exponent_dense(ctx, rows))
+
+
+def moyal_beta_dense(ctx, X):
+    """beta = conj(alpha(Y0, Z0)) alpha(Y0, S) alpha(S, Z0) over (T, Z) pairs.
+
+    Y0 = X+Z-T, Z0 = X+T-Z, S = Z+T-X, one row per grid point T.
+    """
+    A = ctx.potential
+    pts = wl._grid_points(ctx)
+    X = np.asarray(X, dtype=float)
+    Z = pts[None, :, :]
+    T = pts[:, None, :]
+    Y0, Z0, S = X + Z - T, X + T - Z, Z + T - X
+    return (np.conj(magnetic.alpha_phase(A, Y0, Z0))
+            * magnetic.alpha_phase(A, Y0, S)
+            * magnetic.alpha_phase(A, S, Z0))
+
+
+def alpha_phase_segment_form(A, Y, Z):
+    """Straight-segment phase exp(-i INT <A(sZ+(1-s)Y), Z*(-Y)> ds).
+
+    Valid shortcut for alpha_phase on two-step algebras when every value of
+    A annihilates the derived subalgebra; in general this form equals
+    alpha_phase times exp((i/2) INT <A(sZ+(1-s)Y), [Z,Y]> ds).
+    """
+    alg = A.algebra
+    Y = np.asarray(Y, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    W = lie_core.bch(alg, Z, -Y)
+    nodes, weights = lie_core.gauss01(max(1, ceil((A.degree + 1) / 2)))
+    phase = 0.0
+    for s, w in zip(nodes, weights):
+        seg = s * Z + (1.0 - s) * Y
+        phase = phase - w * np.einsum('...i,...i->...',
+                                      magnetic.evaluate_potential(A, seg), W)
+    return np.exp(1j * phase)

@@ -98,6 +98,27 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("override", [
+        {"symbol": {"kind": "gaussian", "amplitude": "x"}},
+        {"symbol": {"kind": "gaussian", "centers_x": "abc"}},
+        {"symbol": {"kind": "poly-gaussian", "linear_x": [None, 0, 0]}},
+        {"symbol": {"kind": "gaussian", "centers_x": [float("inf"), 0, 0]}},
+        {"grid": {"N": 4, "L": float("inf")}},
+        {"grid": {"N": 4, "L": 1e308}},
+    ], ids=["amplitude-string", "centers-string", "linear-null", "centers-infinity",
+            "L-infinity", "L-overflows-step"])
+    def test_symbol_and_grid_values_checked(self, tmp_path, capsys, override):
+        body = {"algebra": "heisenberg:3", "potential": "heisenberg-linear:0.4",
+                "grid": {"N": 4, "L": 3.0}, "symbol": {"kind": "gaussian"}}
+        cfg = write_config(tmp_path, **{**body, **override})
+        out = tmp_path / "o"
+        assert run("build-kernel", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "kernel.bin").exists()
+
+
 class TestVerifyAlgebra:
     @pytest.mark.parametrize("preset", ["abelian:2", "heisenberg:3", "filiform3:4"])
     def test_presets_pass(self, tmp_path, preset, capsys):

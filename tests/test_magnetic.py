@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,7 +256,7 @@ class TestAlphaPhase:
         A = mg.potential_preset("heisenberg-linear:0.8", HEIS)
         rng = np.random.default_rng(17)
         Y, Z = rng.normal(size=(2, 50, 3))
-        gap = np.abs(mg.alpha_phase(A, Y, Z) - mg.alpha_phase_segment_form(A, Y, Z)).max()
+        gap = np.abs(mg.alpha_phase(A, Y, Z) - oracles.alpha_phase_segment_form(A, Y, Z)).max()
         assert gap < 1e-12
 
     def test_segment_form_central_correction(self):
@@ -267,7 +268,7 @@ class TestAlphaPhase:
         rng = np.random.default_rng(18)
         Y, Z = rng.normal(size=(2, 30, 3))
         g_general = mg.alpha_phase(A, Y, Z)
-        g_segment = mg.alpha_phase_segment_form(A, Y, Z)
+        g_segment = oracles.alpha_phase_segment_form(A, Y, Z)
         nodes, weights = lc.gauss01(6)
         br = lc.bracket(HEIS, Z, Y)
         corr = sum(w * np.einsum('ni,ni->n', mg.evaluate_potential(A, s * Z + (1 - s) * Y), br)
@@ -281,6 +282,37 @@ class TestAlphaPhase:
         A = random_potential(HEIS, rng, degree=2)
         Y, Z = rng.normal(size=(2, 5, 3))
         assert np.abs(np.abs(mg.alpha_phase(A, Y, Z)) - 1.0).max() < 1e-15
+
+
+class TestAlphaDegree:
+    """alpha_exponent is a polynomial of total degree <= alpha_degree."""
+
+    @pytest.mark.parametrize("name", ["heisenberg:3", "heisenberg:5",
+                                      "filiform3:4", "abelian:2"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_bound_interpolates_on_random_lines(self, name, degree):
+        alg = lc.algebra_preset(name)
+        d = alg.dim
+        rng = np.random.default_rng([degree, d, alg.nilpotency_class])
+        top = [np.zeros((degree + 1,) * d) for _ in range(d)]
+        exps = np.bincount(rng.integers(0, d, size=degree), minlength=d)
+        top[rng.integers(0, d)][tuple(exps)] = 0.5  # one term of full degree
+        A = mg.add_potentials(random_potential(alg, rng, degree=degree),
+                              mg.make_potential(alg, top))
+        assert A.degree == degree
+        bound = mg.alpha_degree(A)
+        t_off = rng.uniform(-1.0, 1.0, size=25)
+        for _ in range(4):
+            P0, V = rng.normal(size=(2, 2 * d))
+
+            def on_line(t):
+                P = P0 + np.multiply.outer(t, V)
+                return mg.alpha_exponent(A, P[:, :d], P[:, d:])
+
+            cheb = np.polynomial.Chebyshev.interpolate(on_line, bound)
+            exact = on_line(t_off)
+            scale = max(1.0, np.abs(exact).max())
+            assert np.abs(cheb(t_off) - exact).max() <= 1e-10 * scale
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import numpy as np
 import oracles
 import pytest
+from test_magnetic import random_potential
 
 from magweyl import lie_core as lc
 from magweyl import magnetic as mg
@@ -321,6 +322,77 @@ class TestDenseOracles:
                            centers_xi=[0.1, 0.0, -0.2, 0.1])
         K = wl.kernel_from_symbol(ctx, a)
         assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) < 1e-13
+
+
+class TestCompiledPhases:
+    """alpha and beta compiled on the node sub-grid match the pairwise quadrature."""
+
+    @staticmethod
+    def exponent_gap(ctx, rows=None):
+        """max |production exponent - quadrature exponent| / max(1, max |e|)."""
+        e = oracles.alpha_exponent_dense(ctx, rows)
+        got = wl._alpha_matrix(ctx)
+        got = got if rows is None else got[rows]
+        return np.abs(np.angle(got * np.exp(-1j * e))).max() / max(1.0, np.abs(e).max())
+
+    def test_heisenberg_linear_n8(self):
+        assert self.exponent_gap(heis_ctx(8, 6.0)) <= 1e-13
+
+    def test_heisenberg_linear_n12_sampled(self):
+        rows = np.random.default_rng(31).choice(12 ** 3, size=40, replace=False)
+        assert self.exponent_gap(heis_ctx(12, 6.0), rows) <= 1e-13
+
+    def test_heisenberg_random_degree2_n8(self):
+        A = random_potential(HEIS, np.random.default_rng(32), degree=2)
+        assert A.degree == 2 and mg.alpha_degree(A) + 1 < 8
+        ctx = wl.make_context(HEIS, A, sp.make_grid(3, 8, 6.0))
+        assert self.exponent_gap(ctx) <= 1e-13
+
+    def test_heisenberg5_constant_potential(self):
+        # degree bound 2, so 3 of the 4 nodes per axis carry the quadrature
+        alg = lc.algebra_preset("heisenberg:5")
+        c = np.random.default_rng(33).normal(size=5)
+        A = mg.make_potential(alg, [np.full((1,) * 5, ci) for ci in c])
+        ctx = wl.make_context(alg, A, sp.make_grid(5, 4, 3.0))
+        rows = np.random.default_rng(34).choice(4 ** 5, size=64, replace=False)
+        assert self.exponent_gap(ctx, rows) <= 1e-13
+
+    def test_abelian_landau(self):
+        A = mg.potential_preset("landau:0.5", AB2)
+        ctx = wl.make_context(AB2, A, sp.make_grid(2, 8, 4.0))
+        assert self.exponent_gap(ctx) <= 1e-13
+
+    def test_full_node_set_is_bitwise_the_quadrature(self):
+        # filiform3:4, linear potential: degree bound 6 >= N - 1, so m = N
+        A = random_potential(FIL, np.random.default_rng(35), degree=1)
+        ctx = wl.make_context(FIL, A, sp.make_grid(4, 4, 3.0))
+        assert np.array_equal(wl._alpha_matrix(ctx), oracles.alpha_matrix_dense(ctx))
+
+    def test_moyal_point_matches_dense_beta(self, monkeypatch):
+        A = random_potential(HEIS, np.random.default_rng(36), degree=2)
+        ctx = wl.make_context(HEIS, A, sp.make_grid(3, 8, 6.0))
+        X = ctx.grid.axis_x[[3, 4, 5]]
+        gap = np.abs(wl._moyal_beta(ctx, X) - oracles.moyal_beta_dense(ctx, X)).max()
+        assert gap <= 1e-12
+        a = boxed_gaussian(ctx.grid, centers_x=[0.3, 0.0, 0.0],
+                           centers_xi=[0.0, 0.0, -0.2])
+        b = boxed_gaussian(ctx.grid, centers_x=[0.0, 0.0, -0.25],
+                           centers_xi=[0.15, 0.0, 0.0])
+        xi = np.array([0.2, -0.1, 0.3])
+        got = wl.moyal_2step_point(ctx, a, b, X, xi)
+        monkeypatch.setattr(wl, "_moyal_beta", oracles.moyal_beta_dense)
+        want = wl.moyal_2step_point(ctx, a, b, X, xi)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_production_paths_skip_the_pointwise_phase(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("alpha_phase called")
+
+        monkeypatch.setattr(mg, "alpha_phase", refuse)
+        ctx = heis_ctx(4, 3.0)
+        a = boxed_gaussian(ctx.grid)
+        wl.symbol_from_kernel(ctx, wl.kernel_from_symbol(ctx, a))
+        wl.moyal_2step_point(ctx, a, a, np.zeros(3), np.zeros(3))
 
 
 class TestDerivativeCheck:
