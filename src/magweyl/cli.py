@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -22,10 +23,13 @@ import numpy as np
 from . import lie_core, magnetic
 from . import symbol_space as sp
 from . import weyl_calculus as wl
-from .errors import ConfigError, JacobiViolation, MagweylError
+from .errors import ConfigError, JacobiViolation, MagweylError, ShapeError
 
 SUITES = ("fourier", "unitarity", "gauge", "abelian-baseline",
           "moyal-crosscheck", "derivative-check")
+# algebras hold dim^3 structure constants and the Jacobi check forms dim^4
+# numbers; any grid on a larger algebra would not fit in memory anyway
+MAX_DIM = 32
 
 
 # ---------------------------------------------------------------- config
@@ -41,9 +45,21 @@ def _read_json(path, what):
 
 
 def load_config(path):
+    """The config object, with its run-level entries checked for shape."""
     cfg = _read_json(path, "config file")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    seed = _as_int(cfg.get("seed", 42))
+    if seed is None or seed < 0:
+        raise ConfigError(f"config 'seed' must be an integer >= 0, got {cfg['seed']!r}")
+    tols = cfg.get("tolerances", {})
+    if not (isinstance(tols, dict) and all(_is_finite(v) for v in tols.values())):
+        raise ConfigError("config 'tolerances' must map check names to finite numbers")
+    suites = cfg.get("suites", [])
+    if not (isinstance(suites, list) and all(isinstance(n, str) for n in suites)):
+        raise ConfigError("config 'suites' must be a list of suite names")
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError("config 'out' must be a directory name")
     return cfg
 
 
@@ -79,8 +95,8 @@ def _inline_algebra(data):
     if not isinstance(data, dict):
         raise ConfigError("inline algebra must be an object")
     dim = _as_int(data.get("dim"))
-    if dim is None or dim < 1:
-        raise ConfigError("inline algebra needs an integer 'dim' >= 1")
+    if dim is None or not 1 <= dim <= MAX_DIM:
+        raise ConfigError(f"inline algebra needs an integer 'dim' in 1..{MAX_DIM}")
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise ConfigError("algebra 'brackets' must be a list")
@@ -90,10 +106,12 @@ def _inline_algebra(data):
         if any(_as_int(entry[k]) is None or not 1 <= entry[k] <= dim
                for k in ("i", "j")):
             raise ConfigError(f"bracket indices must be integers in 1..{dim}")
+        if entry["i"] == entry["j"]:
+            raise ConfigError("a bracket [e_i, e_j] needs i != j")
         coeffs = entry["coeffs"]
         if not (isinstance(coeffs, list) and len(coeffs) == dim
-                and all(_is_number(c) for c in coeffs)):
-            raise ConfigError(f"bracket coeffs must be a list of {dim} numbers")
+                and all(_is_finite(c) for c in coeffs)):
+            raise ConfigError(f"bracket coeffs must be a list of {dim} finite numbers")
     return lie_core.algebra_from_dict(data)
 
 
@@ -116,13 +134,19 @@ def _inline_potential(data, algebra):
                             for e in exps)):
                 raise ConfigError(f"potential exponents must be {d} integers "
                                   f"in 0..{magnetic.MAX_DEGREE}")
-            if not _is_number(term["coeff"]):
-                raise ConfigError("potential coefficients must be numbers")
+            if not _is_finite(term["coeff"]):
+                raise ConfigError("potential coefficients must be finite numbers")
     return magnetic.potential_from_dict(algebra, data)
 
 
 def _algebra_from_spec(spec):
     if isinstance(spec, str):
+        try:
+            dim = int(spec.partition(":")[2])
+        except ValueError:
+            dim = None  # no dimension in the name; algebra_preset judges it
+        if dim is not None and dim > MAX_DIM:
+            raise ConfigError(f"algebra dimension above {MAX_DIM}: {spec!r}")
         try:
             return lie_core.algebra_preset(spec)
         except ValueError as exc:
@@ -156,16 +180,21 @@ def _grid_from_spec(spec, algebra):
     n = _as_int(N)
     if n is None or n < 2 or n % 2 != 0:
         raise ConfigError(f"grid N must be an even integer >= 2, got {N!r}")
-    # both grid steps, h = 2L/N and dxi = pi/L, must be finite floats
+    # both grid steps, h = 2L/N and dxi = pi/L, must be finite floats, and
+    # so must the dual cell volume dxi^{2d} that scales the transforms
     if not (_is_finite(L) and L > 0 and 2.0 * L / n <= sys.float_info.max
-            and np.pi / L <= sys.float_info.max):
-        raise ConfigError(f"grid L must be positive with finite steps 2L/N and pi/L, "
-                          f"got {L!r}")
+            and np.pi / L <= sys.float_info.max
+            and 2 * algebra.dim * math.log(np.pi / L) < math.log(sys.float_info.max)):
+        raise ConfigError(f"grid L must be positive with finite steps 2L/N and pi/L "
+                          f"and a finite (pi/L)^(2 dim), got {L!r}")
     return sp.make_grid(algebra.dim, n, float(L))
 
 
 def _boxed_widths(grid):
     sx = grid.box_half_width * grid.h / np.pi
+    if not 0.0 < sx < np.inf:
+        raise ShapeError(f"the symbol width L h / pi = {sx!r} is out of float range "
+                         f"for L = {grid.box_half_width!r}")
     return sx, 1.0 / sx
 
 
@@ -490,13 +519,22 @@ def _resolve_out(cfg, args):
     return args.out or cfg.get("out") or "magweyl-out"
 
 
+def _finish(cfg, args, checks):
+    """Write the reports; on a failed check, exit 1 with one stderr line."""
+    if write_report(_resolve_out(cfg, args), checks):
+        return 0
+    failed = ", ".join(c["check"] for c in checks if not c["pass"])
+    print(f"CheckFailed: {failed}", file=sys.stderr)
+    return 1
+
+
 def cmd_verify_algebra(args):
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = args.seed if args.seed is not None else _as_int(cfg.get("seed", 42))
     if "algebra" not in cfg:
         raise ConfigError("config needs an 'algebra' entry")
     checks = verify_algebra_checks(cfg, seed)
-    return 0 if write_report(_resolve_out(cfg, args), checks) else 1
+    return _finish(cfg, args, checks)
 
 
 def cmd_build_kernel(args):
@@ -506,6 +544,10 @@ def cmd_build_kernel(args):
     ctx = _context_from_config(cfg, threads=args.threads)
     a = _symbol_from_spec(cfg["symbol"], ctx.grid)
     K = wl.kernel_from_symbol(ctx, a)
+    if not np.all(np.isfinite(K.values)):
+        # values that pass the config checks can still overflow on the way
+        raise ShapeError(f"the kernel has {np.count_nonzero(~np.isfinite(K.values))} "
+                         "non-finite entries; not written")
     out = Path(_resolve_out(cfg, args))
     out.mkdir(parents=True, exist_ok=True)
     kernel_path = out / "kernel.bin"
@@ -527,7 +569,7 @@ def cmd_build_kernel(args):
 
 def cmd_suite(args):
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    seed = args.seed if args.seed is not None else _as_int(cfg.get("seed", 42))
     if args.suites:
         suites = [s.strip() for s in args.suites.split(",") if s.strip()]
     else:
@@ -535,7 +577,7 @@ def cmd_suite(args):
     if not suites:
         raise ConfigError("no suites selected")
     checks = run_suites(cfg, suites, seed, args.threads)
-    return 0 if write_report(_resolve_out(cfg, args), checks) else 1
+    return _finish(cfg, args, checks)
 
 
 def _resolve_threads(threads):
@@ -570,7 +612,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.threads = _resolve_threads(args.threads)
-        return args.func(args)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        # non-finite results are reported by the checks and the kernel
+        # guard; numpy's floating-point warnings would only add stderr lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return 2

@@ -190,17 +190,60 @@ def _fine_dual_axis(grid):
     return (np.arange(2 * n) - n) * (grid.dxi / 2.0)
 
 
-def _contract_modes(val, lead, phases):
-    """Contract the mode axes of val (those after position `lead`) one by one.
+def _contract_modes(val, phases):
+    """Contract the trailing mode axes of val with one phase per axis.
 
-    Each entry of phases has the shape of val's leading axes plus one mode
-    axis; contraction order matches the order of the trailing axes.
+    val has a pair layout followed by one mode axis per entry of phases, in
+    order; each phase broadcasts over the pair layout and ends in its mode
+    axis. The last mode axis is contracted first.
     """
-    for ph in phases:
-        if val.ndim > lead + 1:
-            val = np.moveaxis(val, lead, -1)
+    for i, ph in reversed(list(enumerate(phases))):
+        ph = ph.reshape(ph.shape[:-1] + (1,) * i + ph.shape[-1:])
         val = np.einsum('...k,...k->...', val, ph)
     return val
+
+
+def _derived_phase(x, zeta, bound, const, lin_p, lin_q, bil):
+    """Compile exp(i w zeta) for a derived coordinate w of a grid-point pair.
+
+    For grid points P and Q (coordinates from the axis x),
+    w = const + <lin_p, P> + <lin_q, Q> + <P, bil Q>: one term per nonzero
+    coefficient, each in at most two grid coordinates. The phase is the
+    product of one small table per term, at most (N, N, 2N) entries, so the
+    exponentials are paid once here instead of once per (pair, mode).
+
+    Returns phase(p_idx, q_idx). p_idx and q_idx give, per axis, the grid
+    index of P and of Q as an int or an integer array broadcasting over the
+    pair layout; the result has that layout plus the mode axis of zeta and
+    is zero at the pairs with |w| >= bound.
+    """
+    d = len(lin_p)
+    terms = ([(lin_p[i], ((0, i),)) for i in range(d) if lin_p[i] != 0.0]
+             + [(lin_q[j], ((1, j),)) for j in range(d) if lin_q[j] != 0.0]
+             + [(bil[i, j], ((0, i), (1, j))) for i in range(d) for j in range(d)
+                if bil[i, j] != 0.0])
+    xx = np.multiply.outer(x, x)
+    tables = [np.exp(1j * ((c * (x if len(slots) == 1 else xx))[..., None] * zeta))
+              for c, slots in terms]
+    head = np.exp(1j * (const * zeta))
+
+    def phase(p_idx, q_idx):
+        pair = (p_idx, q_idx)
+        w = const
+        factors = [head]
+        for (c, slots), table in zip(terms, tables):
+            idx = tuple(pair[side][ax] for side, ax in slots)
+            coord = x[idx[0]] if len(idx) == 1 else x[idx[0]] * x[idx[1]]
+            w = w + c * coord
+            factors.append(table[idx])
+        # smallest factors first, so most products stay below the pair size
+        factors.sort(key=np.size)
+        out = factors[0]
+        for f in factors[1:]:
+            out = out * f
+        return out * (np.abs(w) < bound)[..., None]
+
+    return phase
 
 
 def _phase_table(X, axis_modes):
@@ -353,11 +396,14 @@ def _kernel_twostep(ctx, a):
             rmask &= (rr >= -half) & (rr < half)
             ridx.append(np.clip(rr + half, 0, N - 1))
     ridx = tuple(ridx)
-    Ybase = np.zeros(grids[0].shape + (d,))
-    Zbase = np.zeros(grids[0].shape + (d,))
-    for ax in rest:
-        Ybase[..., ax] = x[JJ[ax]]
-        Zbase[..., ax] = x[KK[ax]]
+    # the same layout as per-axis index vectors; axis q is set per pair
+    axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
+    jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
+    krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
+    # w_c = y_c - z_c - [Y, Z]_c / 2 on each derived axis
+    e = np.eye(d)
+    phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
+                 for c in der]
 
     def do_slab(r):
         sl = np.take(b, r + half, axis=d)
@@ -367,16 +413,9 @@ def _kernel_twostep(ctx, a):
             k_q = j_q - r
             E = np.take(up, j_q + k_q, axis=q)
             val = E[ufine + ridx]
-            Ys, Zs = Ybase.copy(), Zbase.copy()
-            Ys[..., q], Zs[..., q] = x[j_q], x[k_q]
-            br = np.einsum('ijk,...i,...j->...k', cstr, Ys, Zs)
-            phases = []
-            for ax in der:
-                w_c = Ys[..., ax] - Zs[..., ax] - 0.5 * br[..., ax]
-                ph = np.exp(1j * np.multiply.outer(w_c, zeta))
-                ph[np.abs(w_c) >= 2 * L] = 0.0
-                phases.append(ph)
-            val = _contract_modes(val, 2 * m, phases)
+            y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
+            z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
+            val = _contract_modes(val, [fn(y_idx, z_idx) for fn in phase_fns])
             out.append((j_q, k_q, np.where(rmask, val, 0.0)))
         return out
 
@@ -688,46 +727,60 @@ def moyal_2step_point(ctx, a, b, X, xi):
     reg = [i for i in range(d) if i not in der]
     Ca = _half_transform_table(ctx, a)
     Cb = _half_transform_table(ctx, b)
-    zeta = _fine_dual_axis(grid)
+    x, zeta = grid.axis_x, _fine_dual_axis(grid)
+    cstr = alg.structure_constants
     pts = _grid_points(ctx)
     n = pts.shape[0]
-    cstr = alg.structure_constants
+    p = np.round(p_idx).astype(int)
+    idx = np.indices((N,) * d).reshape(d, n)
 
-    def gather(table, first_idx, u):
-        ok = np.ones(first_idx.shape, dtype=bool)
-        iu = []
-        for ax in reg:
-            r = np.round(u[..., ax] / h).astype(int)
-            ok &= (r >= -half) & (r < half)
-            iu.append(np.clip(r + half, 0, N - 1))
-        val = table[(first_idx,) + tuple(iu)]
-        phases = []
-        for ax in der:
-            ph = np.exp(1j * np.multiply.outer(u[..., ax], zeta))
-            ph[np.abs(u[..., ax]) >= 2 * L] = 0.0
-            phases.append(ph)
-        val = _contract_modes(val, first_idx.ndim, phases)
-        return np.where(ok, val, 0.0)
+    # brackets land on derived axes only, so the regular coordinates of u
+    # and v are the on-grid 2(X-T) and 2(Z-X); pairs outside their |.| < L
+    # windows contribute exact zeros, which leaves tensor sub-grids of T
+    # and Z: T rows in _PAIR_BUDGET blocks, Z as a tensor layout
+    def window(shift):
+        r = 2 * shift
+        return np.all((r >= -half) & (r < half), axis=0), r + half
+
+    t_ok, iu = window(p[reg, None] - idx[reg])
+    z_ok, iv = window(idx[reg] - p[reg, None])
+    ts, zs = np.flatnonzero(t_ok), np.flatnonzero(z_ok)
+    z_axes = [np.unique(idx[ax, zs]) for ax in range(d)]
+    z_shape = tuple(v.size for v in z_axes)
+    z_idx = [v.reshape((1,) * (1 + ax) + (-1,) + (1,) * (d - 1 - ax))
+             for ax, v in enumerate(z_axes)]
+    iv = iv[:, zs]
+
+    # u_c = 2(X-T)_c + [Z, X-T]_c and v_c = 2(Z-X)_c + [T, Z-X]_c as
+    # functions of the pair (P, Q) = (T, Z)
+    e = np.eye(d)
+    u_fns, v_fns = [], []
+    for c in der:
+        cc = cstr[:, :, c]
+        u_fns.append(_derived_phase(x, zeta, 2 * L, 2 * X[c], -2 * e[c], cc @ X, -cc.T))
+        v_fns.append(_derived_phase(x, zeta, 2 * L, -2 * X[c], -(cc @ X), 2 * e[c], cc))
+
+    # e^{-i <xi, 2(Z-T) + [X, Z-T]>} = e^{-i phi(Z)} e^{i phi(T)}, phi linear
+    g = 2 * xi + np.einsum('ijk,i,k->j', cstr, X, xi)
+    phi = pts @ g
+    z_phase = np.exp(-1j * phi)
+    t_phase = np.conj(z_phase)
 
     beta = _moyal_beta(ctx, X)
     total = 0.0 + 0.0j
-    block = max(1, _PAIR_BUDGET // n)
-    z_flat = np.arange(n)
-    for t0 in range(0, n, block):
-        T = pts[t0:t0 + block]
-        nt = T.shape[0]
-        Zb = np.broadcast_to(pts[None, :, :], (nt, n, d))
-        Tb = np.broadcast_to(T[:, None, :], (nt, n, d))
-        XmT = X - Tb
-        ZmX = Zb - X
-        u = 2 * XmT + np.einsum('ijk,...i,...j->...k', cstr, Zb, XmT)
-        v = 2 * ZmX + np.einsum('ijk,...i,...j->...k', cstr, Tb, ZmX)
-        At = gather(Ca, np.broadcast_to(z_flat[None, :], (nt, n)), u)
-        Bt = gather(Cb, np.broadcast_to(np.arange(t0, t0 + nt)[:, None], (nt, n)), v)
-        diff = Zb - Tb
-        phase_vec = 2 * diff + np.einsum('ijk,i,...j->...k', cstr, X, diff)
-        phase = np.exp(-1j * np.einsum('k,...k->...', xi, phase_vec))
-        total += np.sum(beta[t0:t0 + nt] * At * Bt * phase)
+    block = max(1, _PAIR_BUDGET // zs.size)
+    for t0 in range(0, ts.size, block):
+        tb = ts[t0:t0 + block]
+        nt = tb.size
+        t_idx = [idx[ax, tb].reshape((nt,) + (1,) * d) for ax in range(d)]
+        At = Ca[(zs[None, :],) + tuple(r[tb, None] for r in iu)]
+        At = _contract_modes(At.reshape((nt,) + z_shape + At.shape[2:]),
+                             [fn(t_idx, z_idx) for fn in u_fns])
+        Bt = Cb[(tb[:, None],) + tuple(r[None, :] for r in iv)]
+        Bt = _contract_modes(Bt.reshape((nt,) + z_shape + Bt.shape[2:]),
+                             [fn(t_idx, z_idx) for fn in v_fns])
+        prod = beta[np.ix_(tb, zs)] * At.reshape(nt, -1) * Bt.reshape(nt, -1)
+        total += t_phase[tb] @ (prod @ z_phase[zs])
     return complex(total * h ** (2 * d) / np.pi ** (2 * d))
 
 

@@ -4,7 +4,9 @@ Each evaluates its defining formula at every point or pair, with no
 structure to get wrong, so it is slow: the mode sums form one complex
 exponential per (point, mode) pair, and the phase factors run the alpha
 quadrature on every grid pair. The library evaluates the same sums through
-separable phase tables and compiles the phases on a small node sub-grid.
+separable phase tables, compiles the phases on a small node sub-grid, and
+builds the derived-axis phases of its class <= 1 evaluators from per-term
+tables.
 """
 
 from math import ceil
@@ -118,3 +120,65 @@ def alpha_phase_segment_form(A, Y, Z):
         phase = phase - w * np.einsum('...i,...i->...',
                                       magnetic.evaluate_potential(A, seg), W)
     return np.exp(1j * phase)
+
+
+def moyal_point_dense(ctx, a, b, X, xi):
+    """The direct class <= 1 product formula at (X, xi), pair by pair.
+
+    Every (T, Z) pair forms u = 2(X-T) + [Z, X-T] and v = 2(Z-X) + [T, Z-X]
+    with the bracket einsum, gathers the half-transform tables at their
+    regular coordinates, and forms exp(i u_c zeta) and exp(i v_c zeta), one
+    exponential per (pair, mode), on every derived axis c. beta is the
+    library's compiled one (checked against moyal_beta_dense on its own).
+    """
+    grid = ctx.grid
+    d, N = grid.dim, grid.points_per_axis
+    h, L = grid.h, grid.box_half_width
+    half = N // 2
+    X = np.asarray(X, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    der = wl._derived_axes(ctx.algebra)
+    reg = [i for i in range(d) if i not in der]
+    Ca = wl._half_transform_table(ctx, a)
+    Cb = wl._half_transform_table(ctx, b)
+    zeta = wl._fine_dual_axis(grid)
+    pts = wl._grid_points(ctx)
+    n = pts.shape[0]
+    cstr = ctx.algebra.structure_constants
+
+    def gather(table, first_idx, u):
+        ok = np.ones(first_idx.shape, dtype=bool)
+        iu = []
+        for ax in reg:
+            r = np.round(u[..., ax] / h).astype(int)
+            ok &= (r >= -half) & (r < half)
+            iu.append(np.clip(r + half, 0, N - 1))
+        val = table[(first_idx,) + tuple(iu)]
+        # the mode axes follow der; contract the last one first
+        for ax in reversed(der):
+            ph = np.exp(1j * np.multiply.outer(u[..., ax], zeta))
+            ph[np.abs(u[..., ax]) >= 2 * L] = 0.0
+            ph = ph.reshape(ph.shape[:-1] + (1,) * (val.ndim - ph.ndim) + ph.shape[-1:])
+            val = np.sum(val * ph, axis=-1)
+        return np.where(ok, val, 0.0)
+
+    beta = wl._moyal_beta(ctx, X)
+    total = 0.0 + 0.0j
+    block = max(1, wl._PAIR_BUDGET // n)
+    z_flat = np.arange(n)
+    for t0 in range(0, n, block):
+        T = pts[t0:t0 + block]
+        nt = T.shape[0]
+        Zb = np.broadcast_to(pts[None, :, :], (nt, n, d))
+        Tb = np.broadcast_to(T[:, None, :], (nt, n, d))
+        XmT = X - Tb
+        ZmX = Zb - X
+        u = 2 * XmT + np.einsum('ijk,...i,...j->...k', cstr, Zb, XmT)
+        v = 2 * ZmX + np.einsum('ijk,...i,...j->...k', cstr, Tb, ZmX)
+        At = gather(Ca, np.broadcast_to(z_flat[None, :], (nt, n)), u)
+        Bt = gather(Cb, np.broadcast_to(np.arange(t0, t0 + nt)[:, None], (nt, n)), v)
+        diff = Zb - Tb
+        phase_vec = 2 * diff + np.einsum('ijk,i,...j->...k', cstr, X, diff)
+        phase = np.exp(-1j * np.einsum('k,...k->...', xi, phase_vec))
+        total += np.sum(beta[t0:t0 + nt] * At * Bt * phase)
+    return complex(total * h ** (2 * d) / np.pi ** (2 * d))

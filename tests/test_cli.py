@@ -119,6 +119,38 @@ class TestConfigParsing:
         assert not (out / "kernel.bin").exists()
 
 
+    @pytest.mark.parametrize("override", [
+        {"algebra": {"dim": 1.4e16}}, {"algebra": "abelian:100000"},
+        {"grid": {"N": 2, "L": 1e-300}},
+    ], ids=["inline-dim-huge", "preset-dim-huge", "L-tiny"])
+    def test_sizes_out_of_float_range(self, tmp_path, capsys, override):
+        body = {"algebra": "heisenberg:3", "grid": {"N": 2, "L": 3.0},
+                "symbol": {"kind": "zero"}}
+        cfg = write_config(tmp_path, **{**body, **override})
+        assert run("build-kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+
+    def test_bracket_of_an_axis_with_itself(self, tmp_path, capsys):
+        bad = {"dim": 3, "brackets": [{"i": 1, "j": 1, "coeffs": [0, 0, 1]}]}
+        cfg = write_config(tmp_path, algebra=bad)
+        assert run("verify-algebra", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("override", [
+        {"seed": None}, {"seed": -1}, {"seed": "7"}, {"tolerances": [1e-3]},
+        {"tolerances": {"fourier-involution": "tight"}}, {"suites": "fourier"},
+        {"suites": [["fourier"]]},
+    ], ids=["seed-null", "seed-negative", "seed-string", "tolerances-list",
+            "tolerance-string", "suites-string", "suites-nested"])
+    def test_run_entries_checked(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **{**CHEAP, "suites": ["fourier"], **override})
+        assert run("suite", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+
+
 class TestVerifyAlgebra:
     @pytest.mark.parametrize("preset", ["abelian:2", "heisenberg:3", "filiform3:4"])
     def test_presets_pass(self, tmp_path, preset, capsys):
@@ -182,6 +214,33 @@ class TestBuildKernel:
         assert run("build-kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
+    def test_two_derived_axes(self, tmp_path):
+        # class 1 with [e1, e2] = e4 and [e1, e3] = e5
+        alg = {"dim": 5, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 0, 1, 0]},
+                                      {"i": 1, "j": 3, "coeffs": [0, 0, 0, 0, 1]}]}
+        body = {"algebra": alg, "grid": {"N": 2, "L": 3.0},
+                "symbol": {"kind": "gaussian", "centers_x": [0.2, 0, 0, 0.1, 0]}}
+        cfg = write_config(tmp_path, **body)
+        assert run("build-kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        K = sp.load_field(tmp_path / "o" / "kernel.bin")
+        assert K.values.shape == (32, 32) and np.all(np.isfinite(K.values))
+
+    @pytest.mark.parametrize("override", [
+        {"grid": {"N": 4, "L": 1e200}},
+        {"symbol": {"kind": "gaussian", "amplitude": 1e308}},
+    ], ids=["L-1e200", "amplitude-1e308"])
+    def test_non_finite_kernel_not_written(self, tmp_path, capsys, override):
+        body = {"algebra": "heisenberg:3", "potential": "heisenberg-linear:0.4",
+                "grid": {"N": 4, "L": 3.0}, "symbol": {"kind": "gaussian"}}
+        cfg = write_config(tmp_path, **{**body, **override})
+        out = tmp_path / "o"
+        assert run("build-kernel", "--config", cfg, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ShapeError: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "kernel.bin").exists()
+
+
 class TestSuiteCommand:
     def test_report_bytes_reproducible_across_threads(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **CHEAP)
@@ -226,6 +285,8 @@ class TestSuiteCommand:
         assert run("suite", "--config", cfg, "--out", str(tmp_path / "r")) == 1
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert not report["overall_pass"]
+        err = capsys.readouterr().err
+        assert err == "CheckFailed: fourier-involution\n"
 
     def test_moyal_crosscheck_needs_low_class(self, tmp_path, capsys):
         body = {"algebra": "filiform3:4", "grid": {"N": 4, "L": 3.0},

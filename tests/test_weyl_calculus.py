@@ -15,6 +15,10 @@ AB1 = lc.algebra_preset("abelian:1")
 AB2 = lc.algebra_preset("abelian:2")
 HEIS = lc.algebra_preset("heisenberg:3")
 FIL = lc.algebra_preset("filiform3:4")
+# class 1 with two derived axes: [e1, e2] = e4, [e1, e3] = e5
+DER2 = lc.algebra_from_dict({"dim": 5, "brackets": [
+    {"i": 1, "j": 2, "coeffs": [0, 0, 0, 1, 0]},
+    {"i": 1, "j": 3, "coeffs": [0, 0, 0, 0, 1]}]})
 
 
 def zero_ctx(alg, N, L, **kw):
@@ -322,6 +326,119 @@ class TestDenseOracles:
                            centers_xi=[0.1, 0.0, -0.2, 0.1])
         K = wl.kernel_from_symbol(ctx, a)
         assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) < 1e-13
+
+    @staticmethod
+    def moyal_pair(ctx, jx, xi):
+        """Production and dense direct point for two boxed Gaussians."""
+        d = ctx.grid.dim
+        a = boxed_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 1),
+                           centers_xi=[0.0] * (d - 1) + [-0.2])
+        b = boxed_gaussian(ctx.grid, centers_x=[0.0] * (d - 1) + [-0.25],
+                           centers_xi=[0.15] + [0.0] * (d - 1))
+        X = ctx.grid.axis_x[jx]
+        return (wl.moyal_2step_point(ctx, a, b, X, xi),
+                oracles.moyal_point_dense(ctx, a, b, X, xi))
+
+    def test_moyal_point_heisenberg_degree2(self):
+        A = random_potential(HEIS, np.random.default_rng(37), degree=2)
+        ctx = wl.make_context(HEIS, A, sp.make_grid(3, 8, 6.0))
+        got, want = self.moyal_pair(ctx, [3, 5, 4], np.array([0.2, -0.1, 0.3]))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_moyal_point_heisenberg5(self):
+        alg = lc.algebra_preset("heisenberg:5")
+        c = np.random.default_rng(38).normal(size=5)
+        A = mg.make_potential(alg, [np.full((1,) * 5, ci) for ci in c])
+        ctx = wl.make_context(alg, A, sp.make_grid(5, 4, 3.0))
+        got, want = self.moyal_pair(ctx, [1, 2, 2, 3, 1],
+                                    np.array([0.2, -0.1, 0.3, 0.1, -0.2]))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_moyal_point_abelian_landau(self):
+        A = mg.potential_preset("landau:0.5", AB2)
+        ctx = wl.make_context(AB2, A, sp.make_grid(2, 8, 4.0))
+        got, want = self.moyal_pair(ctx, [3, 5], np.array([0.3, -0.2]))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_moyal_point_two_derived_axes(self):
+        c = np.random.default_rng(39).normal(size=5)
+        A = mg.make_potential(DER2, [np.full((1,) * 5, ci) for ci in c])
+        ctx = wl.make_context(DER2, A, sp.make_grid(5, 4, 3.0))
+        got, want = self.moyal_pair(ctx, [1, 2, 2, 3, 1],
+                                    np.array([0.2, -0.1, 0.3, 0.1, -0.2]))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_kernel_two_derived_axes(self):
+        A = random_potential(DER2, np.random.default_rng(40), degree=1)
+        ctx = wl.make_context(DER2, A, sp.make_grid(5, 2, 3.0))
+        a = boxed_gaussian(ctx.grid, centers_x=[0.2, -0.1, 0.0, 0.1, 0.0],
+                           centers_xi=[0.1, 0.0, -0.2, 0.1, 0.0])
+        K = wl.kernel_from_symbol(ctx, a)
+        assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_derived_phase_matches_dense(self, seed):
+        rng = np.random.default_rng([42, seed])
+        d, N, L = 4, 6, 3.0
+        grid = sp.make_grid(d, N, L)
+        x, zeta = grid.axis_x, wl._fine_dual_axis(grid)
+        # random structure-constant-like coefficients, about half of them zero
+        lin_p, lin_q, bil = (rng.normal(size=shape) * (rng.random(shape) < 0.5)
+                             for shape in (d, d, (d, d)))
+        const = rng.normal()
+        # P as flat rows, Q as a tensor layout over two axes, the rest fixed
+        p_idx = list(rng.integers(0, N, size=(d, 7)).reshape(d, 7, 1, 1))
+        q_idx = [3, np.arange(N).reshape(1, N, 1), 0, np.arange(N).reshape(1, 1, N)]
+        P = np.stack(np.broadcast_arrays(*[x[i] for i in p_idx]), axis=-1)
+        Q = np.stack(np.broadcast_arrays(*[x[i] for i in q_idx]), axis=-1)
+        PB, QB = np.broadcast_arrays(P, Q)
+        w = const + P @ lin_p + Q @ lin_q + np.einsum('...i,ij,...j->...', PB, bil, QB)
+        bound = np.median(np.abs(w))
+        want = np.exp(1j * np.multiply.outer(w, zeta))
+        want[np.abs(w) >= bound] = 0.0
+        got = wl._derived_phase(x, zeta, bound, const, lin_p, lin_q, bil)(p_idx, q_idx)
+        got = np.broadcast_to(got, want.shape)
+        assert np.count_nonzero(want) and not np.all(want)
+        assert np.abs(got - want).max() <= 1e-13
+
+
+class ExpCounter:
+    """Stands in for a module's numpy: counts the entries passed to np.exp."""
+
+    def __init__(self):
+        self.count = 0
+
+    def exp(self, x, *args, **kwargs):
+        self.count += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestExponentialCounts:
+    """The class <= 1 evaluators build their derived-axis phases from small
+    tables; one exponential per (pair, mode) would exceed these bounds."""
+
+    def setup_method(self):
+        self.ctx = heis_ctx(8, 6.0)
+        self.pairs = 8 ** 6
+        self.a = boxed_gaussian(self.ctx.grid, centers_x=[0.3, 0.0, -0.2])
+        self.b = boxed_gaussian(self.ctx.grid, centers_xi=[0.1, -0.2, 0.0])
+
+    def test_twostep_kernel(self, monkeypatch):
+        counter = ExpCounter()
+        monkeypatch.setattr(wl, "np", counter)
+        wl._kernel_twostep(self.ctx, self.a)
+        assert 0 < counter.count < self.pairs
+
+    def test_direct_moyal_point(self, monkeypatch):
+        counter = ExpCounter()
+        monkeypatch.setattr(wl, "np", counter)
+        X = self.ctx.grid.axis_x[[3, 5, 4]]
+        wl.moyal_2step_point(self.ctx, self.a, self.b, X, np.array([0.2, -0.1, 0.3]))
+        # beta alone takes one exponential per (T, Z) pair
+        assert self.pairs <= counter.count < 2 * self.pairs
 
 
 class TestCompiledPhases:
