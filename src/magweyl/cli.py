@@ -198,9 +198,20 @@ def _boxed_widths(grid):
     return sx, 1.0 / sx
 
 
+def _check_symbol_size(grid):
+    """Refuse a phase-space grid whose complex samples exceed the work budget."""
+    nbytes = 16 * grid.points_per_axis ** (2 * grid.dim)
+    if nbytes > wl._MAX_WORK_BYTES:
+        raise ConfigError(
+            f"a symbol on N = {grid.points_per_axis} points per axis in dimension "
+            f"{grid.dim} needs {nbytes:.3g} bytes, above the work budget of "
+            f"{wl._MAX_WORK_BYTES:.3g}")
+
+
 def _symbol_from_spec(spec, grid):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("symbol spec must be an object with a 'kind'")
+    _check_symbol_size(grid)
     kind = spec["kind"]
     d = grid.dim
     if kind == "zero":
@@ -324,6 +335,7 @@ def verify_algebra_checks(cfg, seed):
 # ---------------------------------------------------------------- run suites
 
 def _random_symbol(grid, rng):
+    _check_symbol_size(grid)
     d = grid.dim
     sx, sxi = _boxed_widths(grid)
     span = grid.box_half_width / 3.0

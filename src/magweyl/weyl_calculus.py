@@ -17,10 +17,11 @@ as zero outside its |w_i| < L data window on axes where w is an on-grid
 difference, and axes where w picks up off-grid bracket terms use a doubled
 spectral grid (2N modes at spacing dxi/2, the exact representation of the
 zero-padded window on |w| < 2L) plus explicit masking beyond. The midpoint
-slot is evaluated by exact trigonometric interpolation: spectral zero
-padding for half-grid points, nonuniform mode sums in general. Both give
-the same interpolant a plain nonuniform-DFT definition would, so the fast
-and the general assembly agree to round-off where both apply.
+slot is evaluated by exact trigonometric interpolation: half-step spectral
+shifts (spectral zero padding on one-dimensional groups) for half-grid
+points, nonuniform mode sums in general. Both give the same interpolant a
+plain nonuniform-DFT definition would, so the fast and the general assembly
+agree to round-off where both apply.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _lagrange_matrix(x, nodes):
     return out
 
 
-def _grid_pair_values(grid, fn, degree):
+def _grid_pair_values(grid, fn, degree, y_axes=None, z_axes=None):
     """fn(Y, Z) on all grid pairs, shape (N^d, N^d), for a polynomial fn.
 
     fn must be a real polynomial of degree <= degree in each of the 2d
@@ -115,6 +116,10 @@ def _grid_pair_values(grid, fn, degree):
     per-axis Lagrange interpolation, which is exact for such fn up to
     round-off. With m = N the Lagrange matrix is the identity, so every
     value is fn's own, bit for bit.
+
+    y_axes and z_axes, lists of d grid-index arrays, restrict Y and Z to
+    the tensor sub-grids they span; the result is then
+    (prod |y_axes[i]|, prod |z_axes[i]|), raveled in "ij" order.
     """
     d, N = grid.dim, grid.points_per_axis
     m = min(N, degree + 1)
@@ -126,13 +131,16 @@ def _grid_pair_values(grid, fn, degree):
     block = max(1, _PAIR_BUDGET // n)
     for start in range(0, n, block):
         vals[start:start + block] = fn(pts[start:start + block, None, :], pts[None, :, :])
-    lag = _lagrange_matrix(grid.axis_x, nodes)
+    full = [np.arange(N)] * d
+    subsets = ((full if y_axes is None else list(y_axes))
+               + (full if z_axes is None else list(z_axes)))
     out = vals.reshape((m,) * (2 * d))
     # contract the leading axis and append the expanded one: after 2d steps
     # the axes are back in (Y axes..., Z axes...) order
-    for _ in range(2 * d):
-        out = np.tensordot(out, lag, axes=([0], [1]))
-    return out.reshape(N ** d, N ** d)
+    for sub in subsets:
+        out = np.tensordot(out, _lagrange_matrix(grid.axis_x[sub], nodes), axes=([0], [1]))
+    ny = int(np.prod([v.size for v in subsets[:d]]))
+    return out.reshape(ny, -1)
 
 
 def _alpha_matrix(ctx):
@@ -338,8 +346,30 @@ def pi_action(ctx, X, xi, f):
 def _check_work_bytes(nbytes):
     if nbytes > _MAX_WORK_BYTES:
         raise ShapeError(
-            f"kernel assembly would need ~{nbytes / 1e9:.1f} GB working memory; "
+            f"the kernel map would need ~{nbytes / 1e9:.1f} GB working memory; "
             "reduce N or the dimension")
+
+
+def _half_step_ramp(grid):
+    """exp(i xi_k h / 2) on the centred band xi_k = (k - N/2) dxi.
+
+    Multiplying the N-point spectrum of samples by it and transforming back
+    gives the trigonometric interpolant half a step on, at (s - N/2) h + h/2:
+    the odd outputs of the 2x spectral upsampling (`_upsample2`), whose even
+    outputs are the samples themselves.
+    """
+    return np.exp(0.5j * grid.h * grid.axis_xi)
+
+
+def _parity_ramps(grid, wsize, offset):
+    """The half-step ramp at odd differences and 1 at even ones, (N, wsize).
+
+    A kernel pair (j, l) has midpoint index u = j + l and difference
+    w = j - l (difference index minus offset) of the same parity, so on an
+    axis where the difference is an index this selects the shift per entry.
+    """
+    odd = (np.arange(wsize) - offset) % 2 == 1
+    return np.where(odd[None, :], _half_step_ramp(grid)[:, None], 1.0)
 
 
 def _kernel_twostep(ctx, a):
@@ -348,18 +378,24 @@ def _kernel_twostep(ctx, a):
     Exploits w = Y*(-Z) having plain differences y_i - z_i outside the
     derived subalgebra's coordinate support and the midpoint (Y+Z)/2 lying
     on the half-step grid, so every evaluation is an exact interpolant value
-    obtained by indexing, spectral upsampling, or a short mode sum. Assembly
-    runs in slabs of constant j - k along the first non-central axis.
+    obtained by indexing, a spectral half-step shift, or a short mode sum.
+    Assembly runs in slabs of constant j - k along the first non-central
+    axis. The midpoint index j + k of a regular axis has the parity of its
+    difference, so the position spectrum carries that axis's half-step ramp
+    once per call; a derived axis takes both parities, so every slab makes
+    one N-point inverse transform per parity pattern of the derived axes and
+    reads it at (j + k) // 2.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
-    h, L, dxi = grid.h, grid.box_half_width, grid.dxi
+    L, dxi = grid.box_half_width, grid.dxi
     half = N // 2
     der = _derived_axes(alg)
     reg = [i for i in range(d) if i not in der]
     if not reg:
         return _kernel_general(ctx, a)
     q = reg[0]
+    npar = 1 << len(der)
 
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
     # measure, doubled-grid spectra on the central axes, then the w block
@@ -368,7 +404,8 @@ def _kernel_twostep(ctx, a):
     b = _fine_spectrum(b, [d + ax for ax in der])
     order = list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der]
     b = np.transpose(b, order)
-    _check_work_bytes(16 * b.size * (1 + 2 ** d / N))
+    # b, its position spectrum and one slab per derived parity pattern
+    _check_work_bytes(16 * b.size * (2 + npar / N))
 
     x = grid.axis_x
     zeta = _fine_dual_axis(grid)
@@ -382,20 +419,31 @@ def _kernel_twostep(ctx, a):
             ktensor[js, js - r] = up[2 * js - r, r + half]
         return ktensor.reshape(N, N)
 
+    # the position spectrum with every regular axis's ramp at odd differences
+    spec = centered_dft(b, range(d), inverse=False)
+    reg_ramps = _parity_ramps(grid, N, half)
+    for pos, ax in enumerate(reg):
+        shape = [1] * spec.ndim
+        shape[ax], shape[d + pos] = N, N
+        spec *= reg_ramps.reshape(shape)
+    ramp = _half_step_ramp(grid)
+    der_ramps = [ramp.reshape((N,) + (1,) * (spec.ndim - 2 - c)) for c in der]
+
     # index grids over the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...)
     rest = [i for i in range(d) if i != q]
     m = d - 1
     grids = np.meshgrid(*([np.arange(N)] * (2 * m)), indexing="ij")
     JJ = {ax: grids[i] for i, ax in enumerate(rest)}
     KK = {ax: grids[m + i] for i, ax in enumerate(rest)}
-    ufine = tuple(JJ[ax] + KK[ax] for ax in rest)
+    uhalf = tuple((JJ[ax] + KK[ax]) // 2 for ax in rest)
+    parity = sum(((JJ[c] + KK[c]) % 2) << bit for bit, c in enumerate(der))
     ridx, rmask = [], np.ones(grids[0].shape, dtype=bool)
     for ax in rest:
         if ax in reg:
             rr = JJ[ax] - KK[ax]
             rmask &= (rr >= -half) & (rr < half)
             ridx.append(np.clip(rr + half, 0, N - 1))
-    ridx = tuple(ridx)
+    gather = (parity,) + uhalf + tuple(ridx)
     # the same layout as per-axis index vectors; axis q is set per pair
     axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
     jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
@@ -406,13 +454,18 @@ def _kernel_twostep(ctx, a):
                  for c in der]
 
     def do_slab(r):
-        sl = np.take(b, r + half, axis=d)
-        up = _upsample2(sl, range(d))
+        sl = np.take(spec, r + half, axis=d)
+        tables = np.empty((npar,) + sl.shape, dtype=complex)
+        for p in range(npar):
+            shifted = sl
+            for bit, c_ramp in enumerate(der_ramps):
+                if p >> bit & 1:
+                    shifted = shifted * c_ramp
+            tables[p] = centered_dft(shifted, range(d), inverse=True) / N ** d
         out = []
         for j_q in range(max(0, r), min(N, N + r)):
             k_q = j_q - r
-            E = np.take(up, j_q + k_q, axis=q)
-            val = E[ufine + ridx]
+            val = np.take(tables, (j_q + k_q) // 2, axis=1 + q)[gather]
             y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
             z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
             val = _contract_modes(val, [fn(y_idx, z_idx) for fn in phase_fns])
@@ -545,52 +598,66 @@ def _symbol_interp(ctx, M):
 def _symbol_twostep_adjoint(ctx, M):
     """Invert the class <= 1 quantization by running its chain backwards.
 
-    The forward map samples a twice-upsampled midpoint table at the parity
-    cells (j + l, j - l), with the derived difference coordinates living on
-    the doubled window |w| < 2L and shifted per cell by the bracket term.
-    Scattering the kernel back into that fine table, projecting each
-    midpoint axis onto its centered band (which kills the parity alias
-    exactly), undoing the bracket shifts spectrally, and folding the doubled
-    windows recovers the symbol.  Exact up to band truncation at the box
-    corners, so tail-level for symbols that decay inside the box.
+    The forward map reads a half-step midpoint table at the parity cells
+    (j + l, j - l), with the derived difference coordinates living on the
+    doubled window |w| < 2L and shifted per cell by the bracket term.
+    Gathering the kernel into that table at midpoint index (j + l) // 2,
+    undoing the half-step shifts on the position spectrum (the projection
+    of the twice-upsampled table onto its centred band, which kills the
+    parity alias exactly), undoing the bracket shifts spectrally, and
+    folding the doubled windows recovers the symbol. Exact up to band
+    truncation at the box corners, so tail-level for symbols that decay
+    inside the box. Every difference axis here, the doubled derived ones
+    too, is indexed by the integer j - l, which fixes the parity of j + l,
+    so one table of N^d midpoints carries all of them.
+    """
+    alg, grid = ctx.algebra, ctx.grid
+    d, N = grid.dim, grid.points_per_axis
+    half = N // 2
+    der = _derived_axes(alg)
+    K = M.reshape((N,) * (2 * d))
+    wsize = tuple(2 * N if i in der else N for i in range(d))
+    offset = [N if i in der else half for i in range(d)]
+    # the table and its position spectrum
+    _check_work_bytes(32 * N ** d * int(np.prod(wsize)))
+
+    # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), j - l = w:
+    # per axis an (s, w) index pair, zero where j or l leaves the grid
+    src_j, src_l, ok = [], [], True
+    for i in range(d):
+        shape = [1] * (2 * d)
+        shape[i], shape[d + i] = N, wsize[i]
+        w = np.arange(wsize[i]) - offset[i]
+        j = np.arange(N)[:, None] + (w + w % 2)[None, :] // 2
+        l = j - w[None, :]
+        ok = ok & ((j >= 0) & (j < N) & (l >= 0) & (l < N)).reshape(shape)
+        src_j.append(np.clip(j, 0, N - 1).reshape(shape))
+        src_l.append(np.clip(l, 0, N - 1).reshape(shape))
+    table = np.where(ok, K[tuple(src_j + src_l)], 0.0)
+
+    spec = centered_dft(table, range(d), inverse=False)
+    for i in range(d):
+        shape = [1] * (2 * d)
+        shape[i], shape[d + i] = N, wsize[i]
+        spec *= np.conj(_parity_ramps(grid, wsize[i], offset[i])).reshape(shape)
+    table = centered_dft(spec, range(d), inverse=True) / N ** d
+    return _midpoint_table_to_symbol(ctx, table)
+
+
+def _midpoint_table_to_symbol(ctx, bbar):
+    """The symbol from its partial transform b(m, w) on the difference windows.
+
+    bbar has axes (m..., w...), doubled windows on the derived axes. There
+    it holds b at w_c = (r - N) h + [m, W]_c / 2; each fibre is translated
+    back onto the plain lattice through the doubled-window modes and
+    |w| < 2L folded onto the xi-dual window before the transform over w.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     half = N // 2
     der = _derived_axes(alg)
     nc = [i for i in range(d) if i not in der]
-    K = M.reshape((N,) * (2 * d))
-    wsize = tuple(2 * N if i in der else N for i in range(d))
-
-    jl = np.meshgrid(*([np.arange(N)] * (2 * d)), indexing="ij")
-    keep = np.ones(jl[0].shape, dtype=bool)
-    for i in nc:
-        diff = jl[i] - jl[d + i]
-        keep &= (diff >= -half) & (diff < half)
-    udest = [jl[i] + jl[d + i] for i in range(d)]
-    wdest = [jl[i] - jl[d + i] + (N if i in der else half) for i in range(d)]
-
-    # assemble in blocks of the last difference axis so the fine table and
-    # its transforms stay inside the work budget
-    per_slab = 16 * (2 * N) ** d * int(np.prod(wsize[:-1]))
-    block = max(1, int(_MAX_WORK_BYTES / (3 * per_slab)))
-    bbar = np.zeros((N,) * d + wsize, dtype=complex)
-    for start in range(0, wsize[-1], block):
-        nb = min(block, wsize[-1] - start)
-        sel = keep & (wdest[-1] >= start) & (wdest[-1] < start + nb)
-        fine = np.zeros((2 * N,) * d + wsize[:-1] + (nb,), dtype=complex)
-        dest = tuple(u[sel] for u in udest) + tuple(w[sel] for w in wdest[:-1])
-        fine[dest + (wdest[-1][sel] - start,)] = K[sel]
-        for ax in range(d):
-            spec = centered_dft(fine, [ax], inverse=False)
-            crop = np.take(spec, np.arange(N - half, N + half), axis=ax)
-            fine = centered_dft(crop, [ax], inverse=True) / N
-        bbar[(Ellipsis,) + (slice(start, start + nb),)] = fine
-
     if der:
-        # the projected table holds b at w_c = (r - N) h + [m, W]_c / 2;
-        # translate each fiber back onto the plain lattice through the
-        # doubled-window modes, then fold |w| < 2L onto the xi-dual window
         x = grid.axis_x
         cstr = alg.structure_constants
         kfine = (np.arange(2 * N) - N) * grid.dxi / 2
@@ -676,12 +743,14 @@ def _half_transform_table(ctx, symbol):
     return np.ascontiguousarray(vals.reshape((N ** d,) + vals.shape[d:]))
 
 
-def _moyal_beta(ctx, X):
-    """beta(X; Z, T) of the direct product formula, shape (N^d, N^d) over (T, Z).
+def _moyal_beta(ctx, X, t_axes=None, z_axes=None):
+    """beta(X; Z, T) of the direct product formula over (T, Z) grid pairs.
 
     Its exponent -e(Y0, Z0) + e(Y0, S) + e(S, Z0), e = alpha_exponent, is
     alpha's exponent under affine substitutions of (T, Z), so it keeps
-    alpha_degree and is compiled the same way as the alpha matrix.
+    alpha_degree and is compiled the same way as the alpha matrix. t_axes
+    and z_axes restrict T and Z to tensor sub-grids (`_grid_pair_values`);
+    by default the shape is (N^d, N^d).
     """
     A = ctx.potential
 
@@ -690,7 +759,8 @@ def _moyal_beta(ctx, X):
         return (magnetic.alpha_exponent(A, Y0, S) + magnetic.alpha_exponent(A, S, Z0)
                 - magnetic.alpha_exponent(A, Y0, Z0))
 
-    return np.exp(1j * _grid_pair_values(ctx.grid, exponent, magnetic.alpha_degree(A)))
+    return np.exp(1j * _grid_pair_values(ctx.grid, exponent, magnetic.alpha_degree(A),
+                                         t_axes, z_axes))
 
 
 def moyal_2step_point(ctx, a, b, X, xi):
@@ -745,6 +815,7 @@ def moyal_2step_point(ctx, a, b, X, xi):
     t_ok, iu = window(p[reg, None] - idx[reg])
     z_ok, iv = window(idx[reg] - p[reg, None])
     ts, zs = np.flatnonzero(t_ok), np.flatnonzero(z_ok)
+    t_axes = [np.unique(idx[ax, ts]) for ax in range(d)]
     z_axes = [np.unique(idx[ax, zs]) for ax in range(d)]
     z_shape = tuple(v.size for v in z_axes)
     z_idx = [v.reshape((1,) * (1 + ax) + (-1,) + (1,) * (d - 1 - ax))
@@ -766,7 +837,8 @@ def moyal_2step_point(ctx, a, b, X, xi):
     z_phase = np.exp(-1j * phi)
     t_phase = np.conj(z_phase)
 
-    beta = _moyal_beta(ctx, X)
+    # beta on the window pairs only, rows in ts order and columns in zs order
+    beta = _moyal_beta(ctx, X, t_axes, z_axes)
     total = 0.0 + 0.0j
     block = max(1, _PAIR_BUDGET // zs.size)
     for t0 in range(0, ts.size, block):
@@ -779,7 +851,7 @@ def moyal_2step_point(ctx, a, b, X, xi):
         Bt = Cb[(tb[:, None],) + tuple(r[None, :] for r in iv)]
         Bt = _contract_modes(Bt.reshape((nt,) + z_shape + Bt.shape[2:]),
                              [fn(t_idx, z_idx) for fn in v_fns])
-        prod = beta[np.ix_(tb, zs)] * At.reshape(nt, -1) * Bt.reshape(nt, -1)
+        prod = beta[t0:t0 + block] * At.reshape(nt, -1) * Bt.reshape(nt, -1)
         total += t_phase[tb] @ (prod @ z_phase[zs])
     return complex(total * h ** (2 * d) / np.pi ** (2 * d))
 

@@ -18,8 +18,10 @@ from magweyl import weyl_calculus as wl
 from magweyl.symbol_space import fourier_g
 
 
-def _mode_coords(axis, d):
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+def _mode_coords(axis, d, subsets=None):
+    """Coordinates of the tensor grid axis^d, or of its index sub-grid."""
+    axes = [axis] * d if subsets is None else [axis[sub] for sub in subsets]
+    mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -65,6 +67,116 @@ def kernel_general_dense(ctx, a):
     return K * alpha_matrix_dense(ctx)
 
 
+def kernel_twostep_upsampled(ctx, a):
+    """The dealphaed class <= 1 kernel for d >= 2 through 2x upsampling.
+
+    Per slab of constant j_q - k_q, every position axis of the symbol's
+    partial transform is refined to the half-step grid by spectral zero
+    padding (a 2N-point inverse transform), and the kernel reads the fine
+    table at u = j + k. The library reads the same values from N-point
+    half-step shifts instead.
+    """
+    alg, grid = ctx.algebra, ctx.grid
+    d, N = grid.dim, grid.points_per_axis
+    L, dxi = grid.box_half_width, grid.dxi
+    half = N // 2
+    der = wl._derived_axes(alg)
+    reg = [i for i in range(d) if i not in der]
+    q = reg[0]
+    b = (dxi / (2 * np.pi)) ** d * wl.centered_dft(a.values, range(d, 2 * d), inverse=True)
+    b = wl._fine_spectrum(b, [d + ax for ax in der])
+    b = np.transpose(b, list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der])
+    x = grid.axis_x
+    zeta = wl._fine_dual_axis(grid)
+    cstr = alg.structure_constants
+    ktensor = np.zeros((N,) * (2 * d), dtype=complex)
+
+    rest = [i for i in range(d) if i != q]
+    m = d - 1
+    grids = np.meshgrid(*([np.arange(N)] * (2 * m)), indexing="ij")
+    JJ = {ax: grids[i] for i, ax in enumerate(rest)}
+    KK = {ax: grids[m + i] for i, ax in enumerate(rest)}
+    ufine = tuple(JJ[ax] + KK[ax] for ax in rest)
+    ridx, rmask = [], np.ones(grids[0].shape, dtype=bool)
+    for ax in rest:
+        if ax in reg:
+            rr = JJ[ax] - KK[ax]
+            rmask &= (rr >= -half) & (rr < half)
+            ridx.append(np.clip(rr + half, 0, N - 1))
+    ridx = tuple(ridx)
+    axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
+    jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
+    krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
+    e = np.eye(d)
+    phase_fns = [wl._derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
+                 for c in der]
+
+    # the trailing mode axis is independent under the upsampling and summed
+    # by the contraction, so it is split in single modes to bound memory
+    chunks = [slice(k, k + 1) for k in range(2 * N)] if der else [slice(None)]
+    for r in range(-half, half):
+        slab = np.take(b, r + half, axis=d)
+        for ch in chunks:
+            up = wl._upsample2(slab[..., ch], range(d))
+            for j_q in range(max(0, r), min(N, N + r)):
+                k_q = j_q - r
+                val = np.take(up, j_q + k_q, axis=q)[ufine + ridx]
+                y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
+                z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
+                phases = [fn(y_idx, z_idx) for fn in phase_fns]
+                if phases:
+                    phases[-1] = phases[-1][..., ch]
+                val = wl._contract_modes(val, phases)
+                idx = [slice(None)] * (2 * d)
+                idx[q], idx[d + q] = j_q, k_q
+                ktensor[tuple(idx)] += np.where(rmask, val, 0.0)
+    return ktensor.reshape(N ** d, N ** d)
+
+
+def symbol_adjoint_upsampled(ctx, M):
+    """The class <= 1 inversion of a dealphaed kernel through a 2N fine table.
+
+    Scatters the kernel into the (2N)^d midpoint table at u = j + l, projects
+    each midpoint axis onto its centred N band (2N-point forward transform,
+    crop, N-point inverse), then undoes the bracket shifts and folds the
+    doubled windows as the library does.
+    """
+    alg, grid = ctx.algebra, ctx.grid
+    d, N = grid.dim, grid.points_per_axis
+    half = N // 2
+    der = wl._derived_axes(alg)
+    nc = [i for i in range(d) if i not in der]
+    K = M.reshape((N,) * (2 * d))
+    wsize = tuple(2 * N if i in der else N for i in range(d))
+
+    jl = np.meshgrid(*([np.arange(N)] * (2 * d)), indexing="ij")
+    keep = np.ones(jl[0].shape, dtype=bool)
+    for i in nc:
+        diff = jl[i] - jl[d + i]
+        keep &= (diff >= -half) & (diff < half)
+    udest = [jl[i] + jl[d + i] for i in range(d)]
+    wdest = [jl[i] - jl[d + i] + (N if i in der else half) for i in range(d)]
+    wflat = np.ravel_multi_index(tuple(w[keep] for w in wdest), wsize)
+    ufine = tuple(u[keep] for u in udest)
+    vals = K[keep]
+    # the difference axes are independent under the projection, so they are
+    # taken in flat chunks to bound memory
+    nw = int(np.prod(wsize))
+    chunk = max(1, (1 << 20) // (2 * N) ** d)
+    table = np.empty((N,) * d + (nw,), dtype=complex)
+    for start in range(0, nw, chunk):
+        nb = min(chunk, nw - start)
+        sel = (wflat >= start) & (wflat < start + nb)
+        fine = np.zeros((2 * N,) * d + (nb,), dtype=complex)
+        fine[tuple(u[sel] for u in ufine) + (wflat[sel] - start,)] = vals[sel]
+        for ax in range(d):
+            spec = wl.centered_dft(fine, [ax], inverse=False)
+            crop = np.take(spec, np.arange(N - half, N + half), axis=ax)
+            fine = wl.centered_dft(crop, [ax], inverse=True) / N
+        table[..., start:start + nb] = fine
+    return wl._midpoint_table_to_symbol(ctx, table.reshape((N,) * d + wsize))
+
+
 def alpha_exponent_dense(ctx, rows=None):
     """alpha's exponent by the quadrature at every grid pair, shape (N^d, N^d).
 
@@ -86,16 +198,18 @@ def alpha_matrix_dense(ctx, rows=None):
     return np.exp(1j * alpha_exponent_dense(ctx, rows))
 
 
-def moyal_beta_dense(ctx, X):
+def moyal_beta_dense(ctx, X, t_axes=None, z_axes=None):
     """beta = conj(alpha(Y0, Z0)) alpha(Y0, S) alpha(S, Z0) over (T, Z) pairs.
 
-    Y0 = X+Z-T, Z0 = X+T-Z, S = Z+T-X, one row per grid point T.
+    Y0 = X+Z-T, Z0 = X+T-Z, S = Z+T-X, one row per grid point T. t_axes and
+    z_axes, lists of per-axis grid-index arrays, restrict T and Z to the
+    tensor sub-grids they span.
     """
     A = ctx.potential
-    pts = wl._grid_points(ctx)
+    x, d = ctx.grid.axis_x, ctx.grid.dim
     X = np.asarray(X, dtype=float)
-    Z = pts[None, :, :]
-    T = pts[:, None, :]
+    Z = _mode_coords(x, d, z_axes)[None, :, :]
+    T = _mode_coords(x, d, t_axes)[:, None, :]
     Y0, Z0, S = X + Z - T, X + T - Z, Z + T - X
     return (np.conj(magnetic.alpha_phase(A, Y0, Z0))
             * magnetic.alpha_phase(A, Y0, S)

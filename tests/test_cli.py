@@ -241,6 +241,25 @@ class TestBuildKernel:
         assert not (out / "kernel.bin").exists()
 
 
+class TestGridBudget:
+    """A phase-space grid beyond the work budget is a configuration error,
+    refused before any sample is allocated."""
+
+    HUGE = {"algebra": "abelian:1", "grid": {"N": 1 << 40, "L": 4.0}}
+
+    def test_build_kernel(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **self.HUGE, symbol={"kind": "zero"})
+        assert run("build-kernel", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+
+    def test_fourier_suite(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **self.HUGE, suites=["fourier"])
+        assert run("suite", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+
+
 class TestSuiteCommand:
     def test_report_bytes_reproducible_across_threads(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **CHEAP)

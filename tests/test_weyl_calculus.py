@@ -376,6 +376,36 @@ class TestDenseOracles:
         K = wl.kernel_from_symbol(ctx, a)
         assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) <= 1e-12
 
+    @staticmethod
+    def constant_potential(alg, seed):
+        c = np.random.default_rng(seed).normal(size=alg.dim)
+        return mg.make_potential(alg, [np.full((1,) * alg.dim, ci) for ci in c])
+
+    @pytest.mark.parametrize("case", ["heisenberg3-N8", "heisenberg5-N4",
+                                      "two-derived-N4", "abelian2-N8"])
+    def test_half_step_shifts_match_upsampling(self, case):
+        alg5 = lc.algebra_preset("heisenberg:5")
+        ctx = {
+            "heisenberg3-N8": lambda: heis_ctx(8, 6.0),
+            "heisenberg5-N4": lambda: wl.make_context(
+                alg5, self.constant_potential(alg5, 41), sp.make_grid(5, 4, 3.0)),
+            "two-derived-N4": lambda: wl.make_context(
+                DER2, self.constant_potential(DER2, 42), sp.make_grid(5, 4, 3.0)),
+            "abelian2-N8": lambda: wl.make_context(
+                AB2, mg.potential_preset("landau:0.5", AB2), sp.make_grid(2, 8, 4.0)),
+        }[case]()
+        d = ctx.grid.dim
+        a = boxed_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 1),
+                           centers_xi=[0.0] * (d - 1) + [-0.2])
+        K = wl._kernel_twostep(ctx, a)
+        assert self.rel(K, oracles.kernel_twostep_upsampled(ctx, a)) <= 1e-13
+        # a kernel off the range of the forward map exercises every table entry
+        rng = np.random.default_rng(43)
+        M = K + 0.1 * np.abs(K).max() * (rng.normal(size=K.shape)
+                                         + 1j * rng.normal(size=K.shape))
+        assert self.rel(wl._symbol_twostep_adjoint(ctx, M),
+                        oracles.symbol_adjoint_upsampled(ctx, M)) <= 1e-13
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_derived_phase_matches_dense(self, seed):
         rng = np.random.default_rng([42, seed])
@@ -437,8 +467,67 @@ class TestExponentialCounts:
         monkeypatch.setattr(wl, "np", counter)
         X = self.ctx.grid.axis_x[[3, 5, 4]]
         wl.moyal_2step_point(self.ctx, self.a, self.b, X, np.array([0.2, -0.1, 0.3]))
-        # beta alone takes one exponential per (T, Z) pair
-        assert self.pairs <= counter.count < 2 * self.pairs
+        # beta is formed on the window pairs only, 1/16 of all pairs at N = 8
+        assert 0 < counter.count < self.pairs // 4
+
+
+class TransformWork:
+    """Stands in for centered_dft: sums values.size * len(axes) over calls."""
+
+    def __init__(self):
+        self.work = 0
+
+    def __call__(self, values, axes, inverse=False):
+        self.work += np.size(values) * len(axes)
+        return sp.centered_dft(values, axes, inverse)
+
+
+class TestTransformWork:
+    """The class <= 1 assembly and its adjoint shift by half a step with
+    N-point transforms; the 2N-point upsampling round trip did 1.23e7 and
+    1.28e7 units of work here."""
+
+    def setup_method(self):
+        self.ctx = heis_ctx(8, 6.0)
+        self.a = boxed_gaussian(self.ctx.grid, centers_x=[0.3, 0.0, -0.2])
+
+    def test_twostep_kernel(self, monkeypatch):
+        work = TransformWork()
+        monkeypatch.setattr(wl, "centered_dft", work)
+        wl._kernel_twostep(self.ctx, self.a)
+        assert 0 < work.work < 8e6
+
+    def test_twostep_adjoint(self, monkeypatch):
+        K = wl._kernel_twostep(self.ctx, self.a)
+        work = TransformWork()
+        monkeypatch.setattr(wl, "centered_dft", work)
+        wl._symbol_twostep_adjoint(self.ctx, K)
+        assert 0 < work.work < 8e6
+
+
+class TestWorkBudget:
+    """The two-step assembly and its adjoint check their working memory
+    against the budget before they allocate it."""
+
+    def test_assembly_and_adjoint_refuse_beyond_the_budget(self, monkeypatch):
+        ctx = heis_ctx(8, 6.0)
+        a = boxed_gaussian(ctx.grid)
+        estimates = []
+        check = wl._check_work_bytes
+
+        def record(nbytes):
+            estimates.append(nbytes)
+            check(nbytes)
+
+        monkeypatch.setattr(wl, "_check_work_bytes", record)
+        K = wl._kernel_twostep(ctx, a)
+        wl._symbol_twostep_adjoint(ctx, K)
+        assert len(estimates) == 2
+        for est, run in zip(estimates, (lambda: wl._kernel_twostep(ctx, a),
+                                        lambda: wl._symbol_twostep_adjoint(ctx, K))):
+            monkeypatch.setattr(wl, "_MAX_WORK_BYTES", est * (1 - 1e-9))
+            with pytest.raises(ShapeError):
+                run()
 
 
 class TestCompiledPhases:
@@ -488,8 +577,18 @@ class TestCompiledPhases:
     def test_moyal_point_matches_dense_beta(self, monkeypatch):
         A = random_potential(HEIS, np.random.default_rng(36), degree=2)
         ctx = wl.make_context(HEIS, A, sp.make_grid(3, 8, 6.0))
-        X = ctx.grid.axis_x[[3, 4, 5]]
-        gap = np.abs(wl._moyal_beta(ctx, X) - oracles.moyal_beta_dense(ctx, X)).max()
+        p = np.array([3, 4, 5])
+        X = ctx.grid.axis_x[p]
+        # the (T, Z) window pairs the direct point reads: 2 (X - T) and
+        # 2 (Z - X) inside |.| < L on the regular axes
+        idx = np.arange(8)
+        t_axes = [idx[(2 * (p[ax] - idx) >= -4) & (2 * (p[ax] - idx) < 4)] for ax in (0, 1)]
+        z_axes = [idx[(2 * (idx - p[ax]) >= -4) & (2 * (idx - p[ax]) < 4)] for ax in (0, 1)]
+        t_axes.append(idx)
+        z_axes.append(idx)
+        got = wl._moyal_beta(ctx, X, t_axes, z_axes)
+        assert got.shape == (4 * 4 * 8, 4 * 4 * 8)
+        gap = np.abs(got - oracles.moyal_beta_dense(ctx, X, t_axes, z_axes)).max()
         assert gap <= 1e-12
         a = boxed_gaussian(ctx.grid, centers_x=[0.3, 0.0, 0.0],
                            centers_xi=[0.0, 0.0, -0.2])
