@@ -1,11 +1,14 @@
 """Acceptance gate: nine structural checks at desk scale, pinned tolerances.
 
 Each test prints one summary line so the run log shows every criterion's
-measured value next to its tolerance.
+measured value next to its tolerance. Where `magweyl suite` or
+`verify-algebra` runs the same check, the test calls the check function in
+`magweyl.cli` with its own pinned grids, seeds and probes.
 """
 
 import numpy as np
 
+from magweyl import cli
 from magweyl import lie_core as lc
 from magweyl import magnetic as mg
 from magweyl import symbol_space as sp
@@ -20,19 +23,9 @@ def report(k, name, value, tol):
     assert value <= tol
 
 
-def dual_width_gaussian(grid, centers_x=None, centers_xi=None, poly=None):
-    d = grid.dim
-    sx = grid.box_half_width * grid.h / np.pi
-    cx = np.zeros(d) if centers_x is None else np.asarray(centers_x)
-    cxi = np.zeros(d) if centers_xi is None else np.asarray(centers_xi)
-
-    def f(X, Xi):
-        qx = sum((X[..., i] - cx[i]) ** 2 for i in range(d))
-        qxi = sum((Xi[..., i] - cxi[i]) ** 2 for i in range(d))
-        out = np.exp(-qx / (2 * sx) - qxi * sx / 2)
-        return out * poly(X, Xi) if poly is not None else out
-
-    return sp.sample_symbol(f, grid)
+def gaussian(grid, **centers):
+    """The CLI's boxed Gaussian symbol, with optional centers_x / centers_xi."""
+    return cli._symbol_from_spec({"kind": "gaussian", **centers}, grid)
 
 
 def test_acceptance_1_bch_group_axioms():
@@ -41,30 +34,19 @@ def test_acceptance_1_bch_group_axioms():
         alg = lc.algebra_preset(preset)
         rng = np.random.default_rng(1)
         X, Y, Z = rng.normal(size=(3, 100, alg.dim))
-        assoc = np.abs(lc.bch(alg, lc.bch(alg, X, Y), Z)
-                       - lc.bch(alg, X, lc.bch(alg, Y, Z))).max()
-        inv = np.abs(lc.bch(alg, X, -X)).max()
-        worst = max(worst, assoc, inv)
+        worst = max(worst, *cli.bch_axiom_gaps(alg, X, Y, Z))
     report(1, "bch-group-axioms", worst, 1e-10)
 
 
 def test_acceptance_2_psi_diffeomorphism():
     worst_rt, worst_jac = 0.0, 0.0
-    step = 1e-5
     for preset in ALGEBRAS:
         alg = lc.algebra_preset(preset)
-        d = alg.dim
         rng = np.random.default_rng(2)
-        V, Y = rng.normal(size=(2, 100, d))
-        back = lc.psi_inverse(alg, V, lc.psi_map(alg, V, Y))
-        worst_rt = max(worst_rt, np.abs(back - Y).max())
-        eye = step * np.eye(d)
-        for _ in range(20):
-            v, y = rng.normal(size=d), rng.normal(size=d)
-            jac = np.stack(
-                [(lc.psi_map(alg, v, y + eye[i]) - lc.psi_map(alg, v, y - eye[i]))
-                 / (2 * step) for i in range(d)], axis=1)
-            worst_jac = max(worst_jac, abs(np.linalg.det(jac) - 1.0))
+        V, Y = rng.normal(size=(2, 100, alg.dim))
+        worst_rt = max(worst_rt, cli.psi_round_trip_gap(alg, V, Y))
+        VY = rng.normal(size=(20, 2, alg.dim))
+        worst_jac = max(worst_jac, cli.psi_jacobian_gap(alg, VY[:, 0], VY[:, 1]))
     report(2, "psi-round-trip", worst_rt, 1e-10)
     report(2, "psi-jacobian-unimodular", worst_jac, 1e-6)
 
@@ -93,134 +75,66 @@ def test_acceptance_3_symplectic_fourier_involution():
 
 
 def test_acceptance_4_abelian_baseline_kernel():
-    alg = lc.algebra_preset("abelian:1")
-    grid = sp.make_grid(1, 64, 8.0)
-    ctx = wl.make_context(alg, mg.potential_preset("zero", alg), grid)
-    a = sp.sample_symbol(
-        lambda X, Xi: np.exp(-(X[..., 0] ** 2 + Xi[..., 0] ** 2) / 2), grid)
-    K = wl.kernel_from_symbol(ctx, a)
-    y = grid.axis_x
-    truth = (np.exp(-(y[:, None] + y[None, :]) ** 2 / 8)
-             * np.exp(-(y[:, None] - y[None, :]) ** 2 / 2) / np.sqrt(2 * np.pi))
-    gap = np.sqrt(np.sum(np.abs(K.values - truth) ** 2) / np.sum(truth ** 2))
+    gap = cli.abelian_baseline_gap(sp.make_grid(1, 64, 8.0))
     report(4, "abelian-baseline-kernel", gap, 1e-6)
 
 
 def test_acceptance_5_kernel_map_unitarity():
-    cases = []
     alg1 = lc.algebra_preset("abelian:1")
-    g1 = sp.make_grid(1, 64, 8.0)
-    ctx1 = wl.make_context(alg1, mg.potential_preset("zero", alg1), g1)
-    cases.append((ctx1, 1e-6, "abelian-N64"))
+    ctx1 = wl.make_context(alg1, mg.potential_preset("zero", alg1),
+                           sp.make_grid(1, 64, 8.0))
     heis = lc.algebra_preset("heisenberg:3")
-    g3 = sp.make_grid(3, 12, 6.0)
-    ctx3 = wl.make_context(heis, mg.potential_preset("heisenberg-linear:0.4", heis), g3)
-    cases.append((ctx3, 1e-3, "heisenberg-N12"))
-    for ctx, tol, label in cases:
-        d = ctx.grid.dim
-        gauss = dual_width_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 1))
-        poly = dual_width_gaussian(
-            ctx.grid, poly=lambda X, Xi: 1 + 0.4 * X[..., 0] + 0.3 * Xi[..., d - 1])
-        worst = 0.0
-        for a in (gauss, poly):
-            K = wl.kernel_from_symbol(ctx, a)
-            worst = max(worst, abs(sp.l2_norm(K) / sp.l2_norm(a) - 1.0))
+    ctx3 = wl.make_context(heis, mg.potential_preset("heisenberg-linear:0.4", heis),
+                           sp.make_grid(3, 12, 6.0))
+    for ctx, tol, label in ((ctx1, 1e-6, "abelian-N64"), (ctx3, 1e-3, "heisenberg-N12")):
+        worst = max(cli.unitarity_gaps(ctx).values())
         report(5, f"kernel-unitarity-{label}", worst, tol)
 
 
 def test_acceptance_6_gauge_covariance():
     ab2 = lc.algebra_preset("abelian:2")
     grid2 = sp.make_grid(2, 16, 6.0)
-    landau = mg.potential_preset("landau:0.5", ab2)
-    tables = [np.zeros((2, 2)), np.zeros((2, 2))]
-    tables[0][0, 1] = -0.25
-    tables[1][1, 0] = 0.25
-    symmetric = mg.make_potential(ab2, tables)
-    ctx = wl.make_context(ab2, landau, grid2)
-    rep1 = wl.gauge_covariance_check(ctx, symmetric, dual_width_gaussian(grid2))
-
+    ctx2 = wl.make_context(ab2, mg.potential_preset("landau:0.5", ab2), grid2)
     heis = lc.algebra_preset("heisenberg:3")
     grid3 = sp.make_grid(3, 8, 6.0)
-    A = mg.potential_preset("heisenberg-linear:0.4", heis)
-    rng = np.random.default_rng(6)
-    table = np.zeros((4, 4, 4))
-    table[2, 1, 0] = 0.2
-    for _ in range(5):
-        exps = tuple(rng.integers(0, 4, size=3))
-        if 0 < sum(exps) <= 3:
-            table[exps] = rng.normal(scale=0.3)
-    psi = mg.GaugeFunction(heis, table)
-    A1 = mg.add_potentials(A, mg.gradient_potential(psi))
-    ctx3 = wl.make_context(heis, A, grid3)
-    rep2 = wl.gauge_covariance_check(ctx3, A1, dual_width_gaussian(grid3))
-    report(6, "gauge-covariance", max(rep1["value"], rep2["value"]), 1e-9)
+    ctx3 = wl.make_context(heis, mg.potential_preset("heisenberg-linear:0.4", heis), grid3)
+    gap = 0.0
+    for ctx in (ctx2, ctx3):
+        partner = cli.gauge_partner(ctx, np.random.default_rng(6))
+        rep = wl.gauge_covariance_check(ctx, partner, gaussian(ctx.grid))
+        gap = max(gap, rep["value"])
+    report(6, "gauge-covariance", gap, 1e-9)
 
 
 def test_acceptance_7_moyal_cross_check():
     heis = lc.algebra_preset("heisenberg:3")
     grid = sp.make_grid(3, 12, 6.0)
     ctx = wl.make_context(heis, mg.potential_preset("heisenberg-linear:0.4", heis), grid)
-    a = dual_width_gaussian(grid, centers_x=[0.3, -0.2, 0.1],
-                            centers_xi=[0.2, 0.1, -0.3])
-    b = dual_width_gaussian(grid, centers_x=[-0.25, 0.15, 0.0],
-                            centers_xi=[-0.1, 0.3, 0.2])
-    ab = wl.moyal_product(ctx, a, b)
-    sup = np.abs(ab.values).max()
-    N = grid.points_per_axis
-    xs = grid.axis_x
-    E = np.exp(1j * np.outer(grid.axis_xi, xs))
-
-    def route_value(jx, xi):
-        vals = ab.values[tuple(jx)].astype(complex)
-        for ax in range(3):
-            coeff = np.linalg.solve(E, vals.reshape(N, -1))
-            vals = (np.exp(1j * xi[ax] * xs) @ coeff).reshape(vals.shape[1:])
-        return complex(vals)
-
+    a = gaussian(grid, centers_x=[0.3, -0.2, 0.1],
+                 centers_xi=[0.2, 0.1, -0.3])
+    b = gaussian(grid, centers_x=[-0.25, 0.15, 0.0],
+                 centers_xi=[-0.1, 0.3, 0.2])
     probes = [((6, 6, 6), np.zeros(3)),
               ((7, 5, 6), np.array([0.3, -0.2, 0.1])),
               ((5, 7, 8), np.array([-0.2, 0.4, 0.0])),
               ((8, 6, 4), np.array([0.1, 0.2, -0.3])),
               ((6, 8, 7), np.array([0.0, -0.4, 0.2]))]
-    worst = 0.0
-    for jx, xi in probes:
-        direct = wl.moyal_2step_point(ctx, a, b, xs[list(jx)], xi)
-        worst = max(worst, abs(direct - route_value(jx, xi)) / sup)
-    report(7, "moyal-direct-vs-route-heisenberg", worst, 5e-2)
+    report(7, "moyal-direct-vs-route-heisenberg", cli.moyal_route_gap(ctx, a, b, probes),
+           5e-2)
 
-    ab1 = lc.algebra_preset("abelian:1")
-    grid1 = sp.make_grid(1, 64, 6.5)
-    flat = wl.make_context(ab1, mg.potential_preset("zero", ab1), grid1)
-    mu_a, mu_b = np.array([0.4, -0.3]), np.array([-0.2, 0.5])
-    ga = sp.sample_symbol(lambda X, Xi: np.exp(-(X[..., 0] - mu_a[0]) ** 2
-                                               - (Xi[..., 0] - mu_a[1]) ** 2), grid1)
-    gb = sp.sample_symbol(lambda X, Xi: np.exp(-(X[..., 0] - mu_b[0]) ** 2
-                                               - (Xi[..., 0] - mu_b[1]) ** 2), grid1)
-    prod = wl.moyal_product(flat, ga, gb)
-    W = np.stack(np.meshgrid(grid1.axis_x, grid1.axis_xi, indexing="ij"), axis=-1)
-    P, Q = mu_a - W, mu_b - W
-    sig = P[..., 1] * Q[..., 0] - P[..., 0] * Q[..., 1]
-    truth = 0.5 * np.exp(-((P ** 2).sum(-1) + (Q ** 2).sum(-1)) / 2) * np.exp(-1j * sig)
-    gap = np.abs(prod.values - truth).max() / np.abs(truth).max()
-    for jx, xi in [(28, -0.7), (32, 0.0), (36, 1.1), (40, 0.3), (24, -0.2)]:
-        direct = wl.moyal_2step_point(flat, ga, gb,
-                                      np.array([grid1.axis_x[jx]]), np.array([xi]))
-        w = np.array([grid1.axis_x[jx], xi])
-        p, q = mu_a - w, mu_b - w
-        s = p[1] * q[0] - p[0] * q[1]
-        val = 0.5 * np.exp(-(p @ p + q @ q) / 2) * np.exp(-1j * s)
-        gap = max(gap, abs(direct - val) / 0.5)
-    report(7, "moyal-abelian-vs-oracle", gap, 2e-2)
+    route, point = cli.abelian_moyal_gaps(
+        sp.make_grid(1, 64, 6.5),
+        probes=[(28, -0.7), (32, 0.0), (36, 1.1), (40, 0.3), (24, -0.2)])
+    report(7, "moyal-abelian-vs-oracle", max(route, point), 2e-2)
 
 
 def test_acceptance_8_magnetic_derivative():
     heis = lc.algebra_preset("heisenberg:3")
     grid = sp.make_grid(3, 16, 6.5)
     ctx = wl.make_context(heis, mg.potential_preset("heisenberg-linear:0.4", heis), grid)
-    f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1) / 2), grid)
-    rep = wl.magnetic_derivative_check(ctx, np.array([0.5, -0.3, 0.4]), f, tau=1e-3)
-    report(8, "derivative-relative-error", rep["relative_error"], 1e-4)
-    report(8, "derivative-ratio-gap", abs(rep["ratio"] - 4.0), 0.8)
+    gaps = cli.derivative_gaps(ctx, np.array([0.5, -0.3, 0.4]))
+    report(8, "derivative-relative-error", gaps["derivative-relative-error"], 1e-4)
+    report(8, "derivative-ratio-gap", gaps["derivative-ratio-gap"], 0.8)
 
 
 def test_acceptance_9_moyal_gauge_invariance():
@@ -232,8 +146,8 @@ def test_acceptance_9_moyal_gauge_invariance():
     table[0, 0, 2] = 0.05
     psi = mg.GaugeFunction(heis, table)
     A1 = mg.add_potentials(A, mg.gradient_potential(psi))
-    a = dual_width_gaussian(grid, centers_x=[0.3, -0.2, 0.1])
-    b = dual_width_gaussian(grid, centers_xi=[-0.1, 0.3, 0.2])
+    a = gaussian(grid, centers_x=[0.3, -0.2, 0.1])
+    b = gaussian(grid, centers_xi=[-0.1, 0.3, 0.2])
     ab = wl.moyal_product(wl.make_context(heis, A, grid), a, b)
     ab1 = wl.moyal_product(wl.make_context(heis, A1, grid), a, b)
     diff = sp.SymbolField(grid, ab1.values - ab.values)
@@ -246,8 +160,8 @@ def test_acceptance_9_moyal_gauge_invariance():
     tables[0][0, 1] = -0.25
     tables[1][1, 0] = 0.25
     symmetric = mg.make_potential(ab2, tables)
-    a2 = dual_width_gaussian(grid2, centers_x=[0.3, -0.2])
-    b2 = dual_width_gaussian(grid2, centers_xi=[-0.1, 0.25])
+    a2 = gaussian(grid2, centers_x=[0.3, -0.2])
+    b2 = gaussian(grid2, centers_xi=[-0.1, 0.25])
     p1 = wl.moyal_product(wl.make_context(ab2, landau, grid2), a2, b2)
     p2 = wl.moyal_product(wl.make_context(ab2, symmetric, grid2), a2, b2)
     diff2 = sp.SymbolField(grid2, p2.values - p1.values)

@@ -20,6 +20,18 @@ def exp_of_matmul_lines(source):
     return lines
 
 
+def environ_lines(source):
+    """Line numbers that read the process environment through os."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ("environ", "getenv") for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
 def test_detector_flags_exp_of_matmul():
     assert exp_of_matmul_lines("np.exp(1j * x @ k.T)") == [1]
     assert exp_of_matmul_lines("np.exp(1j * x) @ k") == []
@@ -33,3 +45,20 @@ def test_no_exp_of_a_matmul_in_library():
     offenders = [f"{p.name}:{line}" for p in files
                  for line in exp_of_matmul_lines(p.read_text())]
     assert not offenders, f"np.exp of a matmul at {', '.join(offenders)}"
+
+
+def test_detector_flags_environment_reads():
+    assert environ_lines("os.environ.get('X', '1')") == [1]
+    assert environ_lines("x = 1\nos.getenv('X')") == [2]
+    assert environ_lines("from os import environ") == [1]
+    assert environ_lines("import os\nos.path.join('a')") == []
+
+
+def test_only_the_cli_reads_the_environment():
+    # the CLI validates MAGWEYL_THREADS once and passes the count down, so a
+    # library caller never meets a malformed environment value
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "cli.py")
+    assert files
+    offenders = [f"{p.name}:{line}" for p in files
+                 for line in environ_lines(p.read_text())]
+    assert not offenders, f"environment read outside cli.py at {', '.join(offenders)}"

@@ -151,19 +151,17 @@ class TestKernelMap:
 
     def test_fastpath_matches_general_heisenberg(self):
         ctx = heis_ctx(4, 3.0)
-        slow = heis_ctx(4, 3.0, use_twostep_fastpath=False)
         a = boxed_gaussian(ctx.grid, poly=lambda X, Xi: 1 + 0.3 * X[..., 0])
         Kf = wl.kernel_from_symbol(ctx, a)
-        Kg = wl.kernel_from_symbol(slow, a)
-        assert np.abs(Kf.values - Kg.values).max() / np.abs(Kg.values).max() < 1e-12
+        Kg = oracles.kernel_general_dense(ctx, a)
+        assert np.abs(Kf.values - Kg).max() / np.abs(Kg).max() < 1e-12
 
     def test_fastpath_matches_general_abelian(self):
         ctx = zero_ctx(AB1, 16, 5.0)
-        slow = zero_ctx(AB1, 16, 5.0, use_twostep_fastpath=False)
         a = boxed_gaussian(ctx.grid, centers_xi=[0.4])
         Kf = wl.kernel_from_symbol(ctx, a)
-        Kg = wl.kernel_from_symbol(slow, a)
-        assert np.abs(Kf.values - Kg.values).max() / np.abs(Kg.values).max() < 1e-12
+        Kg = oracles.kernel_general_dense(ctx, a)
+        assert np.abs(Kf.values - Kg).max() / np.abs(Kg).max() < 1e-12
 
     def test_thread_count_does_not_change_values(self):
         ctx = heis_ctx(8, 6.0, threads=1)
@@ -173,6 +171,14 @@ class TestKernelMap:
         K4 = wl.kernel_from_symbol(ctx4, a)
         # slabs are computed independently and written disjointly
         assert np.array_equal(K1.values, K4.values)
+
+    def test_library_ignores_the_threads_environment(self, monkeypatch):
+        # only the CLI reads MAGWEYL_THREADS; a library call runs on ctx.threads
+        monkeypatch.setenv("MAGWEYL_THREADS", "two")
+        ctx = heis_ctx(4, 3.0)
+        K = wl.kernel_from_symbol(ctx, boxed_gaussian(ctx.grid))
+        assert ctx.threads == 1
+        assert np.all(np.isfinite(K.values))
 
     def test_filiform_general_path_round_trip(self):
         # class-2 algebra: general assembly plus the interpolating inverse;
@@ -615,18 +621,20 @@ class TestDerivativeCheck:
     def test_heisenberg_generator(self):
         ctx = heis_ctx(16, 6.5)
         f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1) / 2), ctx.grid)
-        rep = wl.magnetic_derivative_check(ctx, np.array([0.5, -0.3, 0.4]), f, tau=1e-3)
-        assert rep["relative_error"] < 1e-5
-        assert 3.5 < rep["ratio"] < 4.5
+        error, ratio_gap = wl.magnetic_derivative_check(
+            ctx, np.array([0.5, -0.3, 0.4]), f, tau=1e-3)
+        assert error["value"] < 1e-5
+        assert ratio_gap["value"] < 0.5
 
     def test_abelian_landau_generator(self):
         grid = sp.make_grid(2, 32, 6.5)
         A = mg.potential_preset("landau:0.5", AB2)
         ctx = wl.make_context(AB2, A, grid)
         f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1) / 2), grid)
-        rep = wl.magnetic_derivative_check(ctx, np.array([0.4, 0.7]), f, tau=1e-3)
-        assert rep["relative_error"] < 1e-5
-        assert 3.5 < rep["ratio"] < 4.5
+        error, ratio_gap = wl.magnetic_derivative_check(
+            ctx, np.array([0.4, 0.7]), f, tau=1e-3)
+        assert error["value"] < 1e-5
+        assert ratio_gap["value"] < 0.5
 
 
 class TestGaugeCovariance:
@@ -638,7 +646,6 @@ class TestGaugeCovariance:
         psi = mg.GaugeFunction(HEIS, table)
         A1 = mg.add_potentials(ctx.potential, mg.gradient_potential(psi))
         rep = wl.gauge_covariance_check(ctx, A1, boxed_gaussian(ctx.grid))
-        assert rep["pass"]
         assert rep["value"] < 1e-12
 
     def test_landau_vs_symmetric(self):
@@ -650,7 +657,6 @@ class TestGaugeCovariance:
         Asym = mg.make_potential(AB2, tables)
         ctx = wl.make_context(AB2, AL, grid)
         rep = wl.gauge_covariance_check(ctx, Asym, boxed_gaussian(grid))
-        assert rep["pass"]
         assert rep["value"] < 1e-12
 
     def test_different_fields_rejected(self):
