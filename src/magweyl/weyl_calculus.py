@@ -19,9 +19,9 @@ spectral grid (2N modes at spacing dxi/2, the exact representation of the
 zero-padded window on |w| < 2L) plus explicit masking beyond. The midpoint
 slot is evaluated by exact trigonometric interpolation: half-step spectral
 shifts (spectral zero padding on one-dimensional groups) for half-grid
-points, nonuniform mode sums in general. Both give the same interpolant a
-plain nonuniform-DFT definition would, so the fast and the general assembly
-agree to round-off where both apply.
+points, mode sums on the axes where the group law is nonlinear (class >= 2).
+Both give the interpolant a plain nonuniform-DFT definition would, so the
+one assembly, for every class, matches a dense mode sum to round-off.
 """
 
 from __future__ import annotations
@@ -354,40 +354,58 @@ def _parity_ramps(grid, wsize, offset):
     return np.where(odd[None, :], _half_step_ramp(grid)[:, None], 1.0)
 
 
-def _kernel_twostep(ctx, a):
-    """Dealphaed kernel for class <= 1: on-grid differences, fine central axes.
+def _nonlinear_axes(alg):
+    """Coordinate axes that receive double-bracket values ([g, [g, g]] support).
 
-    Exploits w = Y*(-Z) having plain differences y_i - z_i outside the
-    derived subalgebra's coordinate support and the midpoint (Y+Z)/2 lying
-    on the half-step grid, so every evaluation is an exact interpolant value
+    Off them, in any class, Y*(-Z) = Y - Z - [Y, Z]/2 and the group
+    midpoint is (Y+Z)/2; the higher Dynkin terms lie in [g, [g, g]].
+    """
+    c = alg.structure_constants
+    hit = np.abs(np.einsum('jkm,iml->ijkl', c, c)).sum(axis=(0, 1, 2)) > 0
+    return [k for k in range(alg.dim) if hit[k]]
+
+
+def _kernel_structured(ctx, a):
+    """Dealphaed kernel for any class: on-grid differences, fine derived axes.
+
+    Off the derived axes w = Y*(-Z) has plain differences y_i - z_i, and off
+    the nonlinear axes (`_nonlinear_axes`) the midpoint (Y+Z)/2 lies on the
+    half-step grid, so those evaluations are exact interpolant values
     obtained by indexing, a spectral half-step shift, or a short mode sum.
-    Assembly runs in slabs of constant j - k along the first non-central
-    axis. The midpoint index j + k of a regular axis has the parity of its
+    A nonlinear axis stays spectral in both slots: its N position modes and
+    2N difference modes are summed against the group law's midpoint and
+    difference on every pair, masked where |m| > L or |w| >= 2L.
+    Assembly runs in slabs of constant j - k along the first regular axis
+    q. The midpoint index j + k of a regular axis has the parity of its
     difference, so the position spectrum carries that axis's half-step ramp
     once per call; a derived axis takes both parities, so every slab makes
-    one N-point inverse transform per parity pattern of the derived axes and
-    reads it at (j + k) // 2.
+    one inverse transform per parity pattern of the derived half-step axes
+    and reads it at (j + k) // 2. With no regular axis, q is derived and one
+    slab over all (j_q, k_q) keeps its whole difference mode axis.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
     L, dxi = grid.box_half_width, grid.dxi
     half = N // 2
     der = _derived_axes(alg)
+    nl = _nonlinear_axes(alg)
     reg = [i for i in range(d) if i not in der]
-    if not reg:
-        return _kernel_general(ctx, a)
-    q = reg[0]
-    npar = 1 << len(der)
+    # derived axes whose midpoints take both half-step parities, and the
+    # position axes read by index rather than summed over modes
+    par = [c for c in der if c not in nl]
+    lin = [i for i in range(d) if i not in nl]
+    q = (reg or der)[0]
+    npar = 1 << len(par)
 
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
-    # measure, doubled-grid spectra on the central axes, then the w block
-    # reordered to (regular axes..., central mode axes...)
+    # measure, doubled-grid spectra on the derived axes, then the w block
+    # reordered to (regular axes..., derived mode axes, nonlinear last...)
     b = (dxi / TWO_PI) ** d * centered_dft(a.values, range(d, 2 * d), inverse=True)
     b = _fine_spectrum(b, [d + ax for ax in der])
-    order = list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der]
-    b = np.transpose(b, order)
-    # b, its position spectrum and one slab per derived parity pattern
-    _check_work_bytes(16 * b.size * (2 + npar / N))
+    b = np.transpose(b, list(range(d)) + [d + ax for ax in reg + par + nl])
+    # b, its position spectrum, one slab per parity pattern, one pair's gather
+    gathered = N ** (2 * d - 2) * (2 * N) ** len(der) * N ** len(nl)
+    _check_work_bytes(16 * (2 * b.size + npar * b.size // (N if reg else 1) + gathered))
 
     x = grid.axis_x
     zeta = _fine_dual_axis(grid)
@@ -409,7 +427,6 @@ def _kernel_twostep(ctx, a):
         shape[ax], shape[d + pos] = N, N
         spec *= reg_ramps.reshape(shape)
     ramp = _half_step_ramp(grid)
-    der_ramps = [ramp.reshape((N,) + (1,) * (spec.ndim - 2 - c)) for c in der]
 
     # index grids over the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...)
     rest = [i for i in range(d) if i != q]
@@ -417,50 +434,69 @@ def _kernel_twostep(ctx, a):
     grids = np.meshgrid(*([np.arange(N)] * (2 * m)), indexing="ij")
     JJ = {ax: grids[i] for i, ax in enumerate(rest)}
     KK = {ax: grids[m + i] for i, ax in enumerate(rest)}
-    uhalf = tuple((JJ[ax] + KK[ax]) // 2 for ax in rest)
-    parity = sum(((JJ[c] + KK[c]) % 2) << bit for bit, c in enumerate(der))
+    uhalf = tuple((JJ[ax] + KK[ax]) // 2 for ax in rest if ax in lin)
+    parity = sum(((JJ[c] + KK[c]) % 2) << bit for bit, c in enumerate(par) if c != q)
     ridx, rmask = [], np.ones(grids[0].shape, dtype=bool)
     for ax in rest:
         if ax in reg:
             rr = JJ[ax] - KK[ax]
             rmask &= (rr >= -half) & (rr < half)
             ridx.append(np.clip(rr + half, 0, N - 1))
-    gather = (parity,) + uhalf + tuple(ridx)
     # the same layout as per-axis index vectors; axis q is set per pair
     axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
     jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
     krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
-    # w_c = y_c - z_c - [Y, Z]_c / 2 on each derived axis
+    # w_c = y_c - z_c - [Y, Z]_c / 2 on each derived half-step axis
     e = np.eye(d)
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
-                 for c in der]
+                 for c in par]
 
-    def do_slab(r):
-        sl = np.take(spec, r + half, axis=d)
+    def do_slab(slab):
+        r, qpairs = slab
+        sl = spec if r is None else np.take(spec, r + half, axis=d)
         tables = np.empty((npar,) + sl.shape, dtype=complex)
         for p in range(npar):
             shifted = sl
-            for bit, c_ramp in enumerate(der_ramps):
+            for bit, c in enumerate(par):
                 if p >> bit & 1:
-                    shifted = shifted * c_ramp
-            tables[p] = centered_dft(shifted, range(d), inverse=True) / N ** d
+                    shifted = shifted * ramp.reshape((N,) + (1,) * (sl.ndim - 1 - c))
+            tables[p] = centered_dft(shifted, lin, inverse=True) / N ** d
+        # the nonlinear position axes stay spectral, behind the w block
+        tables = np.moveaxis(tables, [1 + c for c in nl], range(-len(nl), 0))
         out = []
-        for j_q in range(max(0, r), min(N, N + r)):
-            k_q = j_q - r
-            val = np.take(tables, (j_q + k_q) // 2, axis=1 + q)[gather]
+        for j_q, k_q in qpairs:
+            val = tables
+            if q in lin:
+                val = np.take(val, (j_q + k_q) // 2, axis=1 + lin.index(q))
+            p_idx = parity + (((j_q + k_q) % 2) << par.index(q) if q in par else 0)
+            val = val[(p_idx,) + uhalf + tuple(ridx)]
             y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
             z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
-            val = _contract_modes(val, [fn(y_idx, z_idx) for fn in phase_fns])
-            out.append((j_q, k_q, np.where(rmask, val, 0.0)))
+            phases, keep = [fn(y_idx, z_idx) for fn in phase_fns], rmask
+            if nl:
+                Y, Z = (np.stack(np.broadcast_arrays(*(x[i] for i in idx)), axis=-1)
+                        for idx in (y_idx, z_idx))
+                W = lie_core.bch(alg, Y, -Z)
+                M = -lie_core.psi_map(alg, W, -Y)
+                phases += ([np.exp(1j * (W[..., c, None] * zeta)) for c in nl]
+                           + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
+                keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L, axis=-1)
+                        & np.all(np.abs(M[..., nl]) <= L, axis=-1))
+            out.append((j_q, k_q, np.where(keep, _contract_modes(val, phases), 0.0)))
         return out
 
+    if reg:
+        slabs = [(r, [(j, j - r) for j in range(max(0, r), min(N, N + r))])
+                 for r in range(-half, half)]
+    else:
+        slabs = [(None, [(j, k) for j in range(N) for k in range(N)])]
     if ctx.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            results = list(pool.map(do_slab, range(-half, half)))
+            results = list(pool.map(do_slab, slabs))
     else:
-        results = [do_slab(r) for r in range(-half, half)]
+        results = [do_slab(s) for s in slabs]
     for slab in results:
         for j_q, k_q, val in slab:
             idx = [slice(None)] * (2 * d)
@@ -469,59 +505,13 @@ def _kernel_twostep(ctx, a):
     return ktensor.reshape(N ** d, N ** d)
 
 
-def _joint_spectrum(ctx, a):
-    """Joint mode representation: value(m, w) = sum J e^{i<chi,m> + i<zeta,w>}.
-
-    chi runs over the N^d position-dual modes, zeta over the doubled (2N)^d
-    modes representing the zero-extended w window; shape (N^d, (2N)^d).
-    """
-    grid = ctx.grid
-    d, N = grid.dim, grid.points_per_axis
-    b = (grid.dxi / TWO_PI) ** d * centered_dft(a.values, range(d, 2 * d), inverse=True)
-    b = _fine_spectrum(b, range(d, 2 * d))
-    J = centered_dft(b, range(d), inverse=False) / N ** d
-    return J.reshape(N ** d, (2 * N) ** d)
-
-
-def _kernel_general(ctx, a):
-    """Dealphaed kernel for any class via nonuniform mode sums.
-
-    Exact quadrature midpoints and full nonuniform evaluation in both slots,
-    one row at a time through separable phase tables: O(N^{2d} (2N)^d N^d)
-    multiply-adds in one BLAS product per row, but only O(N^{2d} d N)
-    exponentials. The only assembly for class >= 2; small grids only.
-    """
-    alg, grid = ctx.algebra, ctx.grid
-    L = grid.box_half_width
-    J = _joint_spectrum(ctx, a)
-    _check_work_bytes(32 * J.size)
-    fine_axis = _fine_dual_axis(grid)
-    pts = _grid_points(ctx)
-    n = pts.shape[0]
-    K = np.empty((n, n), dtype=complex)
-    for row in range(n):
-        Yr = pts[row]
-        W = lie_core.bch(alg, Yr, -pts)
-        M = -lie_core.psi_map(alg, W, -Yr)
-        vals = np.einsum('pc,pc->p', _phase_table(M, grid.axis_xi) @ J,
-                         _phase_table(W, fine_axis))
-        bad = np.any(np.abs(W) >= 2 * L, axis=-1) | np.any(np.abs(M) > L, axis=-1)
-        vals[bad] = 0.0
-        K[row] = vals
-    return K
-
-
 def kernel_from_symbol(ctx, a):
     """The integral kernel of the operator quantizing the symbol a."""
     if not isinstance(a, SymbolField):
         raise ShapeError("kernel_from_symbol expects a phase-space symbol field")
     if a.grid != ctx.grid:
         raise ShapeError("symbol grid does not match the context grid")
-    if ctx.algebra.nilpotency_class <= 1:
-        K = _kernel_twostep(ctx, a)
-    else:
-        K = _kernel_general(ctx, a)
-    return IntegralKernel(ctx.grid, K * _alpha_matrix(ctx))
+    return IntegralKernel(ctx.grid, _kernel_structured(ctx, a) * _alpha_matrix(ctx))
 
 
 def _multilinear(tensor, frac_idx):

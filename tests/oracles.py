@@ -5,8 +5,10 @@ structure to get wrong, so it is slow: the mode sums form one complex
 exponential per (point, mode) pair, and the phase factors run the alpha
 quadrature on every grid pair. The library evaluates the same sums through
 separable phase tables, compiles the phases on a small node sub-grid, and
-builds the derived-axis phases of its class <= 1 evaluators from per-term
-tables.
+builds the derived-axis phases of its evaluators from per-term tables. Its
+kernel assembly, for every class, sums modes only on the axes where the
+group law is nonlinear; `kernel_general_dense` sums every axis's modes on
+every pair.
 """
 
 from math import ceil
@@ -41,21 +43,38 @@ def trig_eval_dense(f, points):
     return scale * (np.exp(1j * (pts @ modes.T)) @ fhat).reshape(shape)
 
 
-def kernel_general_dense(ctx, a):
+def joint_spectrum(ctx, a):
+    """Joint mode representation: value(m, w) = sum J e^{i<chi,m> + i<zeta,w>}.
+
+    chi runs over the N^d position-dual modes, zeta over the doubled (2N)^d
+    modes representing the zero-extended w window; shape (N^d, (2N)^d).
+    """
+    grid = ctx.grid
+    d, N = grid.dim, grid.points_per_axis
+    b = (grid.dxi / (2 * np.pi)) ** d * wl.centered_dft(a.values, range(d, 2 * d),
+                                                        inverse=True)
+    b = wl._fine_spectrum(b, range(d, 2 * d))
+    J = wl.centered_dft(b, range(d), inverse=False) / N ** d
+    return J.reshape(N ** d, (2 * N) ** d)
+
+
+def kernel_general_dense(ctx, a, rows=None):
     """The kernel of the symbol a for any class, by dense mode sums per row.
 
-    Same joint spectrum, midpoints and masks as the library's general
-    assembly; includes the alpha factor.
+    Exact group-law midpoints and differences on every pair, the joint
+    spectrum in both slots, zero where |M| > L or |W| >= 2L; includes the
+    alpha factor. rows, an index array, restricts Y to those grid points.
     """
     alg, grid = ctx.algebra, ctx.grid
     L = grid.box_half_width
-    J = wl._joint_spectrum(ctx, a)
+    J = joint_spectrum(ctx, a)
     chi = _mode_coords(grid.axis_xi, grid.dim)
     zeta = _mode_coords(wl._fine_dual_axis(grid), grid.dim)
     pts = wl._grid_points(ctx)
     n = pts.shape[0]
-    K = np.empty((n, n), dtype=complex)
-    for row in range(n):
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    K = np.empty((rows.size, n), dtype=complex)
+    for i, row in enumerate(rows):
         Yr = pts[row]
         W = lie_core.bch(alg, Yr, -pts)
         M = -lie_core.psi_map(alg, W, -Yr)
@@ -63,8 +82,8 @@ def kernel_general_dense(ctx, a):
                          np.exp(1j * (W @ zeta.T)))
         bad = np.any(np.abs(W) >= 2 * L, axis=-1) | np.any(np.abs(M) > L, axis=-1)
         vals[bad] = 0.0
-        K[row] = vals
-    return K * alpha_matrix_dense(ctx)
+        K[i] = vals
+    return K * alpha_matrix_dense(ctx, rows)
 
 
 def kernel_twostep_upsampled(ctx, a):

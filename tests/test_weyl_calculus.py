@@ -19,6 +19,12 @@ FIL = lc.algebra_preset("filiform3:4")
 DER2 = lc.algebra_from_dict({"dim": 5, "brackets": [
     {"i": 1, "j": 2, "coeffs": [0, 0, 0, 1, 0]},
     {"i": 1, "j": 3, "coeffs": [0, 0, 0, 0, 1]}]})
+# Heisenberg:3 in the basis e1, e2, e1 + e2 + e3: every bracket touches
+# every coordinate, so no axis is regular
+HEIS_SKEW = lc.algebra_from_dict({"dim": 3, "brackets": [
+    {"i": 1, "j": 2, "coeffs": [-1, -1, 1]},
+    {"i": 1, "j": 3, "coeffs": [-1, -1, 1]},
+    {"i": 2, "j": 3, "coeffs": [1, 1, -1]}]})
 
 
 def zero_ctx(alg, N, L, **kw):
@@ -50,6 +56,23 @@ def heis_ctx(N, L, b=0.4, **kw):
     grid = sp.make_grid(3, N, L)
     A = mg.potential_preset(f"heisenberg-linear:{b}", HEIS)
     return wl.make_context(HEIS, A, grid, **kw)
+
+
+def filiform_ctx(N, seed=6, **kw):
+    """filiform3:4 on L = 3 with A_i(x) = sum_j B[i, j] x_j, B seeded."""
+    B = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(4, 4))
+    tables = []
+    for i in range(4):
+        t = np.zeros((2,) * 4)
+        for j in range(4):
+            t[tuple(np.eye(4, dtype=int)[j])] = B[i, j]
+        tables.append(t)
+    return wl.make_context(FIL, mg.make_potential(FIL, tables), sp.make_grid(4, N, 3.0), **kw)
+
+
+def filiform_symbol(grid):
+    return boxed_gaussian(grid, centers_x=[0.2, -0.1, 0.0, 0.1],
+                          centers_xi=[0.1, 0.0, -0.2, 0.1])
 
 
 class TestContextAndValidation:
@@ -164,13 +187,16 @@ class TestKernelMap:
         assert np.abs(Kf.values - Kg).max() / np.abs(Kg).max() < 1e-12
 
     def test_thread_count_does_not_change_values(self):
-        ctx = heis_ctx(8, 6.0, threads=1)
-        ctx4 = heis_ctx(8, 6.0, threads=4)
-        a = boxed_gaussian(ctx.grid, centers_x=[0.3, 0.0, -0.2])
-        K1 = wl.kernel_from_symbol(ctx, a)
-        K4 = wl.kernel_from_symbol(ctx4, a)
-        # slabs are computed independently and written disjointly
-        assert np.array_equal(K1.values, K4.values)
+        # slabs are computed independently and written disjointly; the
+        # filiform3:4 slabs also evaluate the group law on their pairs
+        for make in (lambda t: heis_ctx(8, 6.0, threads=t),
+                     lambda t: filiform_ctx(4, threads=t)):
+            ctx, ctx4 = make(1), make(4)
+            d = ctx.grid.dim
+            a = boxed_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 2) + [-0.2])
+            K1 = wl.kernel_from_symbol(ctx, a)
+            K4 = wl.kernel_from_symbol(ctx4, a)
+            assert np.array_equal(K1.values, K4.values)
 
     def test_library_ignores_the_threads_environment(self, monkeypatch):
         # only the CLI reads MAGWEYL_THREADS; a library call runs on ctx.threads
@@ -181,8 +207,8 @@ class TestKernelMap:
         assert np.all(np.isfinite(K.values))
 
     def test_filiform_general_path_round_trip(self):
-        # class-2 algebra: general assembly plus the interpolating inverse;
-        # accuracy on the coarsest grid is documented, not sharp
+        # class-2 algebra: structured assembly plus the interpolating
+        # inverse; accuracy on the coarsest grid is documented, not sharp
         grid = sp.make_grid(4, 4, 3.0)
         ctx = wl.make_context(FIL, mg.potential_preset("zero", FIL), grid)
         a = boxed_gaussian(grid)
@@ -319,19 +345,42 @@ class TestDenseOracles:
         assert self.rel(wl._trig_eval(f, pts), oracles.trig_eval_dense(f, pts)) < 1e-13
 
     def test_general_kernel_filiform_linear_potential(self):
-        grid = sp.make_grid(4, 2, 3.0)
-        B = np.random.default_rng(6).uniform(-0.5, 0.5, size=(4, 4))
-        tables = []
-        for i in range(4):
-            t = np.zeros((2,) * 4)  # A_i(x) = sum_j B[i, j] x_j
-            for j in range(4):
-                t[tuple(np.eye(4, dtype=int)[j])] = B[i, j]
-            tables.append(t)
-        ctx = wl.make_context(FIL, mg.make_potential(FIL, tables), grid)
-        a = boxed_gaussian(grid, centers_x=[0.2, -0.1, 0.0, 0.1],
-                           centers_xi=[0.1, 0.0, -0.2, 0.1])
+        ctx = filiform_ctx(2)
+        a = filiform_symbol(ctx.grid)
         K = wl.kernel_from_symbol(ctx, a)
         assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) < 1e-13
+
+    def test_general_kernel_filiform_n4_sampled_rows(self):
+        # the nonlinear axis summed against the group law on 4^8 pairs; a
+        # dense oracle row costs about 0.1 s, so 16 seeded rows
+        ctx = filiform_ctx(4)
+        a = filiform_symbol(ctx.grid)
+        rows = np.random.default_rng(44).choice(4 ** 4, size=16, replace=False)
+        K = wl.kernel_from_symbol(ctx, a).values[rows]
+        assert self.rel(K, oracles.kernel_general_dense(ctx, a, rows)) < 1e-13
+
+    def test_kernel_without_a_regular_axis(self):
+        # every axis derived: one slab over all (j_q, k_q) pairs on axis q
+        A = random_potential(HEIS_SKEW, np.random.default_rng(45), degree=1)
+        ctx = wl.make_context(HEIS_SKEW, A, sp.make_grid(3, 4, 3.0))
+        assert wl._derived_axes(HEIS_SKEW) == [0, 1, 2]
+        a = boxed_gaussian(ctx.grid, centers_x=[0.2, -0.1, 0.1],
+                           centers_xi=[0.1, 0.0, -0.2])
+        K = wl.kernel_from_symbol(ctx, a)
+        assert self.rel(K.values, oracles.kernel_general_dense(ctx, a)) <= 1e-12
+
+    @pytest.mark.parametrize("alg", [HEIS, HEIS_SKEW, DER2, FIL],
+                             ids=["heisenberg3", "heisenberg3-skew", "two-derived", "filiform"])
+    def test_group_law_is_bilinear_off_the_nonlinear_axes(self, alg):
+        # the assembly reads these axes by index and compiled phases
+        rng = np.random.default_rng(46)
+        Y, Z = rng.uniform(-3.0, 3.0, size=(2, 1000, alg.dim))
+        W = lc.bch(alg, Y, -Z)
+        M = -lc.psi_map(alg, W, -Y)
+        off = [i for i in range(alg.dim) if i not in wl._nonlinear_axes(alg)]
+        assert wl._nonlinear_axes(alg) == ([3] if alg is FIL else [])
+        assert np.abs((W - (Y - Z - lc.bracket(alg, Y, Z) / 2))[:, off]).max() < 1e-12
+        assert np.abs((M - (Y + Z) / 2)[:, off]).max() < 1e-12
 
     @staticmethod
     def moyal_pair(ctx, jx, xi):
@@ -403,7 +452,7 @@ class TestDenseOracles:
         d = ctx.grid.dim
         a = boxed_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 1),
                            centers_xi=[0.0] * (d - 1) + [-0.2])
-        K = wl._kernel_twostep(ctx, a)
+        K = wl._kernel_structured(ctx, a)
         assert self.rel(K, oracles.kernel_twostep_upsampled(ctx, a)) <= 1e-13
         # a kernel off the range of the forward map exercises every table entry
         rng = np.random.default_rng(43)
@@ -465,8 +514,18 @@ class TestExponentialCounts:
     def test_twostep_kernel(self, monkeypatch):
         counter = ExpCounter()
         monkeypatch.setattr(wl, "np", counter)
-        wl._kernel_twostep(self.ctx, self.a)
+        wl._kernel_structured(self.ctx, self.a)
         assert 0 < counter.count < self.pairs
+
+    def test_structured_kernel_filiform(self, monkeypatch):
+        # the nonlinear axis forms 2N + N exponentials per pair; the dense
+        # mode sum over all axes forms 48 per pair here
+        ctx = filiform_ctx(4)
+        a = filiform_symbol(ctx.grid)
+        counter = ExpCounter()
+        monkeypatch.setattr(wl, "np", counter)
+        wl._kernel_structured(ctx, a)
+        assert 0 < counter.count < 16 * 4 ** 8
 
     def test_direct_moyal_point(self, monkeypatch):
         counter = ExpCounter()
@@ -500,11 +559,11 @@ class TestTransformWork:
     def test_twostep_kernel(self, monkeypatch):
         work = TransformWork()
         monkeypatch.setattr(wl, "centered_dft", work)
-        wl._kernel_twostep(self.ctx, self.a)
+        wl._kernel_structured(self.ctx, self.a)
         assert 0 < work.work < 8e6
 
     def test_twostep_adjoint(self, monkeypatch):
-        K = wl._kernel_twostep(self.ctx, self.a)
+        K = wl._kernel_structured(self.ctx, self.a)
         work = TransformWork()
         monkeypatch.setattr(wl, "centered_dft", work)
         wl._symbol_twostep_adjoint(self.ctx, K)
@@ -512,12 +571,19 @@ class TestTransformWork:
 
 
 class TestWorkBudget:
-    """The two-step assembly and its adjoint check their working memory
-    against the budget before they allocate it."""
+    """The structured assembly and the two-step adjoint check their working
+    memory against the budget before they allocate it."""
 
     def test_assembly_and_adjoint_refuse_beyond_the_budget(self, monkeypatch):
         ctx = heis_ctx(8, 6.0)
         a = boxed_gaussian(ctx.grid)
+        K = wl._kernel_structured(ctx, a)
+        fctx = filiform_ctx(4)
+        fa = filiform_symbol(fctx.grid)
+        # filiform3:4 has no adjoint; its inverse interpolates
+        runs = (lambda: wl._kernel_structured(ctx, a),
+                lambda: wl._symbol_twostep_adjoint(ctx, K),
+                lambda: wl._kernel_structured(fctx, fa))
         estimates = []
         check = wl._check_work_bytes
 
@@ -526,11 +592,10 @@ class TestWorkBudget:
             check(nbytes)
 
         monkeypatch.setattr(wl, "_check_work_bytes", record)
-        K = wl._kernel_twostep(ctx, a)
-        wl._symbol_twostep_adjoint(ctx, K)
-        assert len(estimates) == 2
-        for est, run in zip(estimates, (lambda: wl._kernel_twostep(ctx, a),
-                                        lambda: wl._symbol_twostep_adjoint(ctx, K))):
+        for run in runs:
+            run()
+        assert len(estimates) == 3
+        for est, run in zip(estimates, runs):
             monkeypatch.setattr(wl, "_MAX_WORK_BYTES", est * (1 - 1e-9))
             with pytest.raises(ShapeError):
                 run()
@@ -635,6 +700,17 @@ class TestDerivativeCheck:
             ctx, np.array([0.4, 0.7]), f, tau=1e-3)
         assert error["value"] < 1e-5
         assert ratio_gap["value"] < 0.5
+
+    def test_second_order_convergence(self):
+        # the fitted order of the central difference at steps large enough
+        # that round-off stays far below the truncation error
+        ctx = heis_ctx(12, 6.0)
+        f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1) / 2), ctx.grid)
+        taus = [0.2, 0.1, 0.05]
+        errors = [wl.magnetic_derivative_check(ctx, np.array([0.5, -0.3, 0.4]), f, tau)[0]
+                  ["value"] for tau in taus]
+        slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
+        assert abs(slope - 2.0) < 0.05
 
 
 class TestGaugeCovariance:
