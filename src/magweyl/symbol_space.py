@@ -127,22 +127,48 @@ def sample_config(evaluator, grid):
     return ConfigField(grid, values.copy())
 
 
+def _half_swap(values, axes):
+    """A complex copy of values with the two halves of each listed axis swapped.
+
+    On an even axis the ifftshift and the fftshift are this same swap. Each
+    axis is viewed as (2, n/2) (splitting an axis is a view for any strides)
+    and the length-2 axis read backwards, so the swap is one strided copy.
+    The copy keeps the memory order of values, as np.empty_like does.
+    """
+    split, flip = [], []
+    for ax, n in enumerate(values.shape):
+        if ax in axes:
+            split += [2, n // 2]
+            flip += [slice(None, None, -1), slice(None)]
+        else:
+            split.append(n)
+            flip.append(slice(None))
+    out = np.empty_like(values, dtype=complex)
+    out.reshape(split)[...] = values.reshape(split)[tuple(flip)]
+    return out
+
+
 def centered_dft(values, axes, inverse=False):
     """Centered-grid DFT sum along the given axes (no measure factors).
 
-    Computes sum_j f_j exp(-+ 2 pi i (j - N/2)(k - N/2)/N) per axis via
-    shifted FFTs; the inverse flag flips the exponent sign and drops the FFT
-    library's 1/N so the result is the plain conjugate-kernel sum.
+    Computes sum_j f_j exp(-+ 2 pi i (j - N/2)(k - N/2)/N) per axis; the
+    inverse flag flips the exponent sign and drops the FFT library's 1/N so
+    the result is the plain conjugate-kernel sum. Every transformed axis must
+    have even length N (ShapeError otherwise), so that index N/2 is the
+    centre. Copy budget: besides the input, one half-swapped copy that the
+    FFT overwrites in place and one half-swapped copy out.
     """
-    axes = tuple(axes)
-    v = np.fft.ifftshift(values, axes=axes)
+    values = np.asarray(values)
+    axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
+    if any(values.shape[a] % 2 for a in axes):
+        raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
+    v = _half_swap(values, axes)
     if inverse:
-        v = np.fft.ifftn(v, axes=axes)
-        scale = np.prod([values.shape[a] for a in axes])
+        np.fft.ifftn(v, axes=axes, out=v)
+        v *= np.prod([values.shape[a] for a in axes])
     else:
-        v = np.fft.fftn(v, axes=axes)
-        scale = 1.0
-    return np.fft.fftshift(v, axes=axes) * scale
+        np.fft.fftn(v, axes=axes, out=v)
+    return _half_swap(v, axes)
 
 
 def fourier_g(field, forward=True):
@@ -159,7 +185,8 @@ def fourier_g(field, forward=True):
     d = g.dim
     cell = g.h if field.space == "g" else g.dxi
     scale = (cell / np.sqrt(TWO_PI)) ** d
-    out = scale * centered_dft(field.values, range(d), inverse=not forward)
+    out = centered_dft(field.values, range(d), inverse=not forward)
+    out *= scale
     other = "gstar" if field.space == "g" else "g"
     return ConfigField(g, out, space=other)
 
@@ -169,17 +196,22 @@ def symplectic_fourier(symbol):
 
     Applies the forward transform on the x-axes, the inverse transform on the
     xi-axes, then swaps the two axis blocks. Applying it twice returns the
-    original field to round-off.
+    original field to round-off. Both transforms run under one half swap of
+    all 2d axes, with the same copy budget as centered_dft.
     """
     if not isinstance(symbol, SymbolField):
         raise ShapeError("symplectic_fourier expects a phase-space field")
     g = symbol.grid
     d = g.dim
     scale = (g.h * g.dxi / TWO_PI) ** d
-    v = centered_dft(symbol.values, range(d), inverse=False)
-    v = centered_dft(v, range(d, 2 * d), inverse=True)
-    v = np.transpose(v, axes=tuple(range(d, 2 * d)) + tuple(range(d)))
-    return SymbolField(g, scale * v)
+    axes = range(2 * d)
+    v = _half_swap(symbol.values, axes)
+    np.fft.fftn(v, axes=range(d), out=v)
+    np.fft.ifftn(v, axes=range(d, 2 * d), out=v)
+    v *= g.points_per_axis ** d
+    v = _half_swap(v, axes)
+    v *= scale
+    return SymbolField(g, np.transpose(v, axes=tuple(range(d, 2 * d)) + tuple(range(d))))
 
 
 def l2_norm(field):

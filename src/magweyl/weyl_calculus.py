@@ -164,7 +164,8 @@ def _upsample2(values, axes):
         spec = centered_dft(out, [ax], inverse=False)
         pad = [(0, 0)] * out.ndim
         pad[ax] = (n // 2, n // 2)
-        out = centered_dft(np.pad(spec, pad), [ax], inverse=True) / n
+        out = centered_dft(np.pad(spec, pad), [ax], inverse=True)
+        out /= n
     return out
 
 
@@ -181,7 +182,8 @@ def _fine_spectrum(values, axes):
         n = out.shape[ax]
         pad = [(0, 0)] * out.ndim
         pad[ax] = (n // 2, n // 2)
-        out = centered_dft(np.pad(out, pad), [ax], inverse=False) / (2 * n)
+        out = centered_dft(np.pad(out, pad), [ax], inverse=False)
+        out /= 2 * n
     return out
 
 
@@ -400,7 +402,8 @@ def _kernel_structured(ctx, a):
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
     # measure, doubled-grid spectra on the derived axes, then the w block
     # reordered to (regular axes..., derived mode axes, nonlinear last...)
-    b = (dxi / TWO_PI) ** d * centered_dft(a.values, range(d, 2 * d), inverse=True)
+    b = centered_dft(a.values, range(d, 2 * d), inverse=True)
+    b *= (dxi / TWO_PI) ** d
     b = _fine_spectrum(b, [d + ax for ax in der])
     b = np.transpose(b, list(range(d)) + [d + ax for ax in reg + par + nl])
     # b, its position spectrum, one slab per parity pattern, one pair's gather
@@ -451,8 +454,7 @@ def _kernel_structured(ctx, a):
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
                  for c in par]
 
-    def do_slab(slab):
-        r, qpairs = slab
+    def slab_tables(r):
         sl = spec if r is None else np.take(spec, r + half, axis=d)
         tables = np.empty((npar,) + sl.shape, dtype=complex)
         for p in range(npar):
@@ -460,9 +462,11 @@ def _kernel_structured(ctx, a):
             for bit, c in enumerate(par):
                 if p >> bit & 1:
                     shifted = shifted * ramp.reshape((N,) + (1,) * (sl.ndim - 1 - c))
-            tables[p] = centered_dft(shifted, lin, inverse=True) / N ** d
+            np.divide(centered_dft(shifted, lin, inverse=True), N ** d, out=tables[p])
         # the nonlinear position axes stay spectral, behind the w block
-        tables = np.moveaxis(tables, [1 + c for c in nl], range(-len(nl), 0))
+        return np.moveaxis(tables, [1 + c for c in nl], range(-len(nl), 0))
+
+    def do_pairs(tables, qpairs):
         out = []
         for j_q, k_q in qpairs:
             val = tables
@@ -485,18 +489,25 @@ def _kernel_structured(ctx, a):
             out.append((j_q, k_q, np.where(keep, _contract_modes(val, phases), 0.0)))
         return out
 
+    # a worker per slab builds its tables; with no regular axis the one
+    # slab's tables are built once and the workers split its pairs
     if reg:
-        slabs = [(r, [(j, j - r) for j in range(max(0, r), min(N, N + r))])
-                 for r in range(-half, half)]
+        jobs = [(r, [(j, j - r) for j in range(max(0, r), min(N, N + r))])
+                for r in range(-half, half)]
+
+        def run(job):
+            return do_pairs(slab_tables(job[0]), job[1])
     else:
-        slabs = [(None, [(j, k) for j in range(N) for k in range(N)])]
+        qpairs = [(j, k) for j in range(N) for k in range(N)]
+        jobs = [qpairs[i::ctx.threads] for i in range(ctx.threads)]
+        run = partial(do_pairs, slab_tables(None))
     if ctx.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            results = list(pool.map(do_slab, slabs))
+            results = list(pool.map(run, jobs))
     else:
-        results = [do_slab(s) for s in slabs]
+        results = [run(job) for job in jobs]
     for slab in results:
         for j_q, k_q, val in slab:
             idx = [slice(None)] * (2 * d)
@@ -562,8 +573,9 @@ def _symbol_interp(ctx, M):
         Y, Z = _sigma_inverse(ctx, V, W)
         frac = np.concatenate([Y, Z], axis=-1) / h + N // 2
         G[start:start + block] = _multilinear(tensor, frac)
-    G = G.reshape((N,) * (2 * d))
-    return h ** d * centered_dft(G, range(d, 2 * d), inverse=False)
+    G = centered_dft(G.reshape((N,) * (2 * d)), range(d, 2 * d), inverse=False)
+    G *= h ** d
+    return G
 
 
 def _symbol_twostep_adjoint(ctx, M):
@@ -611,7 +623,8 @@ def _symbol_twostep_adjoint(ctx, M):
         shape = [1] * (2 * d)
         shape[i], shape[d + i] = N, wsize[i]
         spec *= np.conj(_parity_ramps(grid, wsize[i], offset[i])).reshape(shape)
-    table = centered_dft(spec, range(d), inverse=True) / N ** d
+    table = centered_dft(spec, range(d), inverse=True)
+    table /= N ** d
     return _midpoint_table_to_symbol(ctx, table)
 
 
@@ -642,8 +655,9 @@ def _midpoint_table_to_symbol(ctx, bbar):
                     wj = x.reshape((N,) + (1,) * (d - 1 - j))
                     s = s + 0.5 * cstr[i, j, c] * mi * wj
             spec = centered_dft(bbar, [d + c], inverse=False)
-            ramp = np.exp(-1j * kfine.reshape((-1,) + (1,) * (d - 1 - c)) * s)
-            bbar = centered_dft(spec * ramp, [d + c], inverse=True) / (2 * N)
+            spec *= np.exp(-1j * kfine.reshape((-1,) + (1,) * (d - 1 - c)) * s)
+            bbar = centered_dft(spec, [d + c], inverse=True)
+            bbar /= 2 * N
         for c in der:
             A = np.moveaxis(bbar, d + c, -1)
             B = np.zeros(A.shape[:-1] + (N,), dtype=complex)
@@ -651,7 +665,9 @@ def _midpoint_table_to_symbol(ctx, bbar):
                 B[..., (r - half) % N] += A[..., r]
             bbar = np.moveaxis(B, -1, d + c)
 
-    return h ** d * centered_dft(bbar, range(d, 2 * d), inverse=False)
+    out = centered_dft(bbar, range(d, 2 * d), inverse=False)
+    out *= h ** d
+    return out
 
 
 def symbol_from_kernel(ctx, K):
@@ -707,7 +723,8 @@ def _half_transform_table(ctx, symbol):
     d, N = grid.dim, grid.points_per_axis
     der = _derived_axes(ctx.algebra)
     reg = [i for i in range(d) if i not in der]
-    vals = grid.dxi ** d * centered_dft(symbol.values, range(d, 2 * d), inverse=True)
+    vals = centered_dft(symbol.values, range(d, 2 * d), inverse=True)
+    vals *= grid.dxi ** d
     vals = _fine_spectrum(vals, [d + ax for ax in der])
     order = list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der]
     vals = np.transpose(vals, order)

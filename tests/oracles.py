@@ -8,7 +8,8 @@ separable phase tables, compiles the phases on a small node sub-grid, and
 builds the derived-axis phases of its evaluators from per-term tables. Its
 kernel assembly, for every class, sums modes only on the axes where the
 group law is nonlinear; `kernel_general_dense` sums every axis's modes on
-every pair.
+every pair. `centered_dft_rolled` is the textbook centred transform that
+the library's copy-light one must match bit for bit.
 """
 
 from math import ceil
@@ -18,6 +19,23 @@ import numpy as np
 from magweyl import lie_core, magnetic
 from magweyl import weyl_calculus as wl
 from magweyl.symbol_space import fourier_g
+
+
+def centered_dft_rolled(values, axes, inverse=False):
+    """The centred DFT sum as ifftshift, FFT, fftshift, then scale.
+
+    The inverse multiplies the library's 1/N per axis back out, so both
+    directions are plain exponential sums about index N/2.
+    """
+    axes = tuple(axes)
+    v = np.fft.ifftshift(values, axes=axes)
+    if inverse:
+        v = np.fft.ifftn(v, axes=axes)
+        scale = np.prod([values.shape[a] for a in axes])
+    else:
+        v = np.fft.fftn(v, axes=axes)
+        scale = 1.0
+    return np.fft.fftshift(v, axes=axes) * scale
 
 
 def _mode_coords(axis, d, subsets=None):

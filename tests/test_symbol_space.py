@@ -1,6 +1,9 @@
 """Tests for grids, sampling, Fourier transforms, and norms."""
 
+import tracemalloc
+
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +108,74 @@ class TestFourierG:
         a = ss.sample_symbol(lambda X, XI: 1.0, g)
         with pytest.raises(ShapeError):
             ss.fourier_g(a)
+
+
+def same_bits_and_layout(got, want):
+    # downstream reductions sum in memory order, so the layout is part of
+    # the bit-for-bit contract
+    return np.array_equal(got, want) and got.strides == want.strides
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestCenteredDft:
+    @pytest.mark.parametrize("N,ndim", [(2, 5), (8, 3), (12, 3)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_the_rolled_transform_bit_for_bit(self, N, ndim, inverse):
+        rng = np.random.default_rng(N)
+        v = random_complex(rng, (N,) * ndim)
+        for axes in ([1], [0, 2], list(range(ndim))):
+            want = oracles.centered_dft_rolled(v, axes, inverse)
+            assert same_bits_and_layout(ss.centered_dft(v, axes, inverse), want)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_real_and_transposed_inputs(self, inverse):
+        rng = np.random.default_rng(3)
+        real = rng.normal(size=(8, 12, 4))
+        transposed = np.transpose(random_complex(rng, (4, 8, 12, 2)), (2, 0, 3, 1))
+        assert not transposed.flags.c_contiguous
+        for v in (real, transposed):
+            for axes in ([0], [1, 2], range(v.ndim)):
+                want = oracles.centered_dft_rolled(v, axes, inverse)
+                assert same_bits_and_layout(ss.centered_dft(v, axes, inverse), want)
+
+    def test_symplectic_fourier_is_two_rolled_transforms_and_a_swap(self):
+        d = 2
+        g = ss.make_grid(d, 8, 4.0)
+        a = smooth_symbol(np.random.default_rng(4), g)
+        scale = (g.h * g.dxi / (2 * np.pi)) ** d
+        for _ in range(2):  # the second pass starts from a transposed field
+            v = oracles.centered_dft_rolled(a.values, range(d))
+            v = oracles.centered_dft_rolled(v, range(d, 2 * d), inverse=True)
+            want = scale * np.transpose(v, (2, 3, 0, 1))
+            a = ss.symplectic_fourier(a)
+            assert same_bits_and_layout(a.values, want)
+
+    @pytest.mark.parametrize("call", [
+        lambda v: ss.centered_dft(v, range(3)),
+        lambda v: ss.centered_dft(v, [3, 4, 5], inverse=True),
+        lambda v: ss.symplectic_fourier(ss.SymbolField(ss.make_grid(3, 8, 4.0), v)),
+    ], ids=["forward", "inverse", "symplectic"])
+    def test_transient_memory_is_two_arrays(self, call):
+        # one half-swapped copy transformed in place and one copy out; the
+        # rolled transform keeps about three
+        v = random_complex(np.random.default_rng(5), (8,) * 6)
+        call(v)  # warm the FFT plan cache outside the trace
+        tracemalloc.start()
+        try:
+            call(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * v.nbytes
+
+    def test_odd_length_axis_refused(self):
+        v = np.ones((4, 5, 4), dtype=complex)
+        with pytest.raises(ShapeError):
+            ss.centered_dft(v, [1])
+        assert ss.centered_dft(v, [0, 2]).shape == v.shape
 
 
 class TestSymplecticFourier:

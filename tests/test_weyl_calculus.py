@@ -188,9 +188,11 @@ class TestKernelMap:
 
     def test_thread_count_does_not_change_values(self):
         # slabs are computed independently and written disjointly; the
-        # filiform3:4 slabs also evaluate the group law on their pairs
+        # filiform3:4 slabs also evaluate the group law on their pairs, and
+        # with no regular axis (HEIS_SKEW) the workers split one slab's pairs
         for make in (lambda t: heis_ctx(8, 6.0, threads=t),
-                     lambda t: filiform_ctx(4, threads=t)):
+                     lambda t: filiform_ctx(4, threads=t),
+                     lambda t: zero_ctx(HEIS_SKEW, 6, 3.0, threads=t)):
             ctx, ctx4 = make(1), make(4)
             d = ctx.grid.dim
             a = boxed_gaussian(ctx.grid, centers_x=[0.3] + [0.0] * (d - 2) + [-0.2])
