@@ -561,11 +561,15 @@ def _symbol_interp(ctx, M):
     """Inversion via interpolation of the dealphaed kernel at midpoint pairs."""
     grid = ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
+    n = N ** d
+    block = max(1, _PAIR_BUDGET // n)
+    # G and its transform's two copies; per pair of a block, Y, Z and frac
+    # (4 d floats) and at most 16 d floats of group-law or interpolation
+    # temporaries
+    _check_work_bytes(48 * n * n + 160 * d * min(block, n) * n)
     pts = _grid_points(ctx)
-    n = pts.shape[0]
     tensor = M.reshape((N,) * (2 * d))
     G = np.empty((n, n), dtype=complex)
-    block = max(1, _PAIR_BUDGET // n)
     for start in range(0, n, block):
         nb = pts[start:start + block].shape[0]
         V = np.broadcast_to(pts[start:start + block, None, :], (nb, n, d))

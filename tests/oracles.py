@@ -9,7 +9,9 @@ builds the derived-axis phases of its evaluators from per-term tables. Its
 kernel assembly, for every class, sums modes only on the axes where the
 group law is nonlinear; `kernel_general_dense` sums every axis's modes on
 every pair. `centered_dft_rolled` is the textbook centred transform that
-the library's copy-light one must match bit for bit.
+the library's copy-light one must match bit for bit, and
+`eval_words_einsum` the dense ad-matrix contraction that the library's
+sparse bracket program must match bit for bit on sparse bases.
 """
 
 from math import ceil
@@ -36,6 +38,26 @@ def centered_dft_rolled(values, axes, inverse=False):
         v = np.fft.fftn(v, axes=axes)
         scale = 1.0
     return np.fft.fftshift(v, axes=axes) * scale
+
+
+def eval_words_einsum(alg, words, X, Y):
+    """Sum coeff * [word](X, Y) over a word list, batched over leading axes."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    X = np.broadcast_to(X, shape)
+    Y = np.broadcast_to(Y, shape)
+    c = alg.structure_constants
+    # (ad_X)[..., k, j] = sum_i X_i c[i, j, k]
+    ads = (np.einsum('...i,ijk->...kj', X, c), np.einsum('...i,ijk->...kj', Y, c))
+    vecs = (X, Y)
+    out = np.zeros(shape)
+    for coeff, letters in words:
+        v = vecs[letters[-1]]
+        for l in letters[-2::-1]:
+            v = np.einsum('...kj,...j->...k', ads[l], v)
+        out = out + coeff * v
+    return out
 
 
 def _mode_coords(axis, d, subsets=None):

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from test_weyl_calculus import DER2, HEIS_SKEW
+
 from magweyl import lie_core as lc
 from magweyl.errors import (
     AbelianHasNoQuotient,
@@ -272,3 +275,84 @@ class TestPresets:
         assert np.allclose(lc.bracket(HEIS5, e[0], e[2]), e[4])
         assert np.allclose(lc.bracket(HEIS5, e[1], e[3]), e[4])
         assert np.abs(lc.bracket(HEIS5, e[0], e[1])).max() == 0.0
+
+
+def rebased(alg, seed):
+    """alg in a random dense basis: every [e_i, e_j], i != j, has all coordinates."""
+    rng = np.random.default_rng(seed)
+    B = np.eye(alg.dim) + 0.3 * rng.normal(size=(alg.dim, alg.dim))
+    c = np.einsum('ia,jb,ijk,lk->abl', B, B, alg.structure_constants, np.linalg.inv(B))
+    return lc.new_algebra(alg.dim, c)
+
+
+SPARSE_ALGS = {
+    "abelian1": lc.algebra_preset("abelian:1"),
+    "abelian2": AB2,
+    "heisenberg3": HEIS,
+    "heisenberg5": HEIS5,
+    "filiform34": FIL,
+    "heis-skew": HEIS_SKEW,
+    "two-derived": DER2,
+    "filiform34-quotient": lc.quotient_by_top_layer(FIL)[0],
+}
+FIL_DENSE = rebased(FIL, 41)
+GROUP_FNS = {
+    "bch": lc.bch,
+    "right_translation": lc.right_translation_differential,
+    "psi_map": lc.psi_map,
+    "psi_inverse": lc.psi_inverse,
+    "bracket": lc.bracket,
+}
+
+
+def input_pairs(d, rng):
+    """A single point, an (n, 1) x (1, m) outer batch, and an empty batch."""
+    return [(rng.normal(size=d), rng.normal(size=d)),
+            (rng.normal(size=(6, 1, d)), rng.normal(size=(1, 5, d))),
+            (np.zeros((0, d)), np.zeros((0, d)))]
+
+
+def production_and_oracle(monkeypatch, fn, alg, X, Y):
+    got = fn(alg, X, Y)
+    with monkeypatch.context() as m:
+        m.setattr(lc, "_eval_words", oracles.eval_words_einsum)
+        want = fn(alg, X, Y)
+    return got, want
+
+
+class TestBracketProgram:
+    """The compiled sparse bracket against the dense einsum contraction."""
+
+    @pytest.mark.parametrize("fn", GROUP_FNS.values(), ids=GROUP_FNS.keys())
+    @pytest.mark.parametrize("alg", SPARSE_ALGS.values(), ids=SPARSE_ALGS.keys())
+    def test_bitwise_the_dense_contraction_on_sparse_bases(self, monkeypatch, alg, fn):
+        rng = np.random.default_rng(40)
+        for X, Y in input_pairs(alg.dim, rng):
+            got, want = production_and_oracle(monkeypatch, fn, alg, X, Y)
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", GROUP_FNS.values(), ids=GROUP_FNS.keys())
+    def test_round_off_of_the_dense_contraction_on_a_dense_basis(self, monkeypatch, fn):
+        assert np.all(FIL_DENSE.structure_constants[~np.eye(4, dtype=bool)] != 0.0)
+        rng = np.random.default_rng(42)
+        for X, Y in input_pairs(4, rng):
+            got, want = production_and_oracle(monkeypatch, fn, FIL_DENSE, X, Y)
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert np.abs(got - want).max(initial=0.0) <= 1e-15 * np.abs(want).max(initial=0.0)
+
+    def test_no_einsum_in_the_group_law(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        X, Y = np.random.default_rng(43).normal(size=(2, 7, 4))
+        monkeypatch.setattr(np, "einsum", refuse)
+        for fn in (lc.bch, lc.right_translation_differential, lc.psi_map):
+            fn(FIL, X, Y)
+
+    def test_trailing_axis_must_be_the_dimension(self):
+        # a length-1 coordinate axis would otherwise broadcast silently
+        with pytest.raises(ShapeError):
+            lc.bch(HEIS, np.zeros((4, 1)), np.zeros((4, 1)))

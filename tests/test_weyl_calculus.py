@@ -1,5 +1,7 @@
 """Tests for kernels, the twisted representation, and the Moyal product."""
 
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -573,19 +575,12 @@ class TestTransformWork:
 
 
 class TestWorkBudget:
-    """The structured assembly and the two-step adjoint check their working
-    memory against the budget before they allocate it."""
+    """The structured assembly, the two-step adjoint and the interpolating
+    inverse check their working memory against the budget before they
+    allocate it."""
 
-    def test_assembly_and_adjoint_refuse_beyond_the_budget(self, monkeypatch):
-        ctx = heis_ctx(8, 6.0)
-        a = boxed_gaussian(ctx.grid)
-        K = wl._kernel_structured(ctx, a)
-        fctx = filiform_ctx(4)
-        fa = filiform_symbol(fctx.grid)
-        # filiform3:4 has no adjoint; its inverse interpolates
-        runs = (lambda: wl._kernel_structured(ctx, a),
-                lambda: wl._symbol_twostep_adjoint(ctx, K),
-                lambda: wl._kernel_structured(fctx, fa))
+    @staticmethod
+    def record_estimates(monkeypatch):
         estimates = []
         check = wl._check_work_bytes
 
@@ -594,13 +589,41 @@ class TestWorkBudget:
             check(nbytes)
 
         monkeypatch.setattr(wl, "_check_work_bytes", record)
+        return estimates
+
+    def test_assembly_and_adjoint_refuse_beyond_the_budget(self, monkeypatch):
+        ctx = heis_ctx(8, 6.0)
+        a = boxed_gaussian(ctx.grid)
+        K = wl._kernel_structured(ctx, a)
+        fctx = filiform_ctx(4)
+        fa = filiform_symbol(fctx.grid)
+        fK = wl._kernel_structured(fctx, fa)
+        # filiform3:4 has no adjoint; its inverse interpolates
+        runs = (lambda: wl._kernel_structured(ctx, a),
+                lambda: wl._symbol_twostep_adjoint(ctx, K),
+                lambda: wl._kernel_structured(fctx, fa),
+                lambda: wl._symbol_interp(fctx, fK))
+        estimates = self.record_estimates(monkeypatch)
         for run in runs:
             run()
-        assert len(estimates) == 3
+        assert len(estimates) == 4
         for est, run in zip(estimates, runs):
             monkeypatch.setattr(wl, "_MAX_WORK_BYTES", est * (1 - 1e-9))
             with pytest.raises(ShapeError):
                 run()
+
+    def test_interpolating_inverse_peak_within_its_estimate(self, monkeypatch):
+        fctx = filiform_ctx(4)
+        fK = wl._kernel_structured(fctx, filiform_symbol(fctx.grid))
+        estimates = self.record_estimates(monkeypatch)
+        tracemalloc.start()
+        try:
+            wl._symbol_interp(fctx, fK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 1
+        assert peak <= estimates[0]
 
 
 class TestCompiledPhases:
