@@ -33,7 +33,7 @@ import numpy as np
 
 from . import lie_core, magnetic
 from .errors import ShapeError, WrongClass
-from .symbol_space import ConfigField, SymbolField, centered_dft, fourier_g
+from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
 
 TWO_PI = 2.0 * np.pi
 _PAIR_BUDGET = 1 << 17
@@ -79,9 +79,7 @@ def make_context(algebra, potential, grid, threads=1):
 def _grid_points(ctx):
     """Flattened position-grid coordinates, shape (N^d, d). Cached."""
     if "points" not in ctx._cache:
-        g = ctx.grid
-        mesh = np.meshgrid(*([g.axis_x] * g.dim), indexing="ij")
-        ctx._cache["points"] = np.stack([m.ravel() for m in mesh], axis=-1)
+        ctx._cache["points"] = coordinate_mesh(ctx.grid).reshape(-1, ctx.grid.dim)
     return ctx._cache["points"]
 
 
@@ -185,6 +183,20 @@ def _fine_spectrum(values, axes):
         out = centered_dft(np.pad(out, pad), [ax], inverse=False)
         out /= 2 * n
     return out
+
+
+def _partial_transform(ctx, symbol, scale, w_order):
+    """b[X axes..., w axes in w_order]: the symbol's transform over xi.
+
+    The inverse transform over xi times scale, with the derived difference
+    axes replaced by their doubled-grid spectra (`_fine_spectrum`); w_order
+    lists the difference axes in the order the caller reads them.
+    """
+    d = ctx.grid.dim
+    b = centered_dft(symbol.values, range(d, 2 * d), inverse=True)
+    b *= scale
+    b = _fine_spectrum(b, [d + ax for ax in _derived_axes(ctx.algebra)])
+    return np.transpose(b, list(range(d)) + [d + ax for ax in w_order])
 
 
 def _fine_dual_axis(grid):
@@ -402,10 +414,7 @@ def _kernel_structured(ctx, a):
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
     # measure, doubled-grid spectra on the derived axes, then the w block
     # reordered to (regular axes..., derived mode axes, nonlinear last...)
-    b = centered_dft(a.values, range(d, 2 * d), inverse=True)
-    b *= (dxi / TWO_PI) ** d
-    b = _fine_spectrum(b, [d + ax for ax in der])
-    b = np.transpose(b, list(range(d)) + [d + ax for ax in reg + par + nl])
+    b = _partial_transform(ctx, a, (dxi / TWO_PI) ** d, reg + par + nl)
     # b, its position spectrum, one slab per parity pattern, one pair's gather
     gathered = N ** (2 * d - 2) * (2 * N) ** len(der) * N ** len(nl)
     _check_work_bytes(16 * (2 * b.size + npar * b.size // (N if reg else 1) + gathered))
@@ -431,24 +440,23 @@ def _kernel_structured(ctx, a):
         spec *= reg_ramps.reshape(shape)
     ramp = _half_step_ramp(grid)
 
-    # index grids over the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...)
+    # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
+    # broadcasting per-axis index vectors; axis q is set per pair
     rest = [i for i in range(d) if i != q]
     m = d - 1
-    grids = np.meshgrid(*([np.arange(N)] * (2 * m)), indexing="ij")
-    JJ = {ax: grids[i] for i, ax in enumerate(rest)}
-    KK = {ax: grids[m + i] for i, ax in enumerate(rest)}
-    uhalf = tuple((JJ[ax] + KK[ax]) // 2 for ax in rest if ax in lin)
-    parity = sum(((JJ[c] + KK[c]) % 2) << bit for bit, c in enumerate(par) if c != q)
-    ridx, rmask = [], np.ones(grids[0].shape, dtype=bool)
-    for ax in rest:
-        if ax in reg:
-            rr = JJ[ax] - KK[ax]
-            rmask &= (rr >= -half) & (rr < half)
-            ridx.append(np.clip(rr + half, 0, N - 1))
-    # the same layout as per-axis index vectors; axis q is set per pair
     axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
     jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
     krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
+    # uhalf spans the whole layout, so every gather has the full pair shape
+    uhalf = tuple(np.broadcast_to((jrest[ax] + krest[ax]) // 2, (N,) * (2 * m))
+                  for ax in rest if ax in lin)
+    parity = sum(((jrest[c] + krest[c]) % 2) << bit for bit, c in enumerate(par) if c != q)
+    ridx, rmask = [], np.ones((N,) * (2 * m), dtype=bool)
+    for ax in rest:
+        if ax in reg:
+            rr = jrest[ax] - krest[ax]
+            rmask &= (rr >= -half) & (rr < half)
+            ridx.append(np.clip(rr + half, 0, N - 1))
     # w_c = y_c - z_c - [Y, Z]_c / 2 on each derived half-step axis
     e = np.eye(d)
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
@@ -591,12 +599,13 @@ def _symbol_twostep_adjoint(ctx, M):
     Gathering the kernel into that table at midpoint index (j + l) // 2,
     undoing the half-step shifts on the position spectrum (the projection
     of the twice-upsampled table onto its centred band, which kills the
-    parity alias exactly), undoing the bracket shifts spectrally, and
-    folding the doubled windows recovers the symbol. Exact up to band
-    truncation at the box corners, so tail-level for symbols that decay
-    inside the box. Every difference axis here, the doubled derived ones
-    too, is indexed by the integer j - l, which fixes the parity of j + l,
-    so one table of N^d midpoints carries all of them.
+    parity alias exactly), and undoing the bracket shifts on the spectrum
+    of each doubled window, whose even modes are the symbol's, recovers
+    the symbol. Exact up to band truncation at the box corners, so
+    tail-level for symbols that decay inside the box. Every difference
+    axis here, the doubled derived ones too, is indexed by the integer
+    j - l, which fixes the parity of j + l, so one table of N^d midpoints
+    carries all of them.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -636,40 +645,37 @@ def _midpoint_table_to_symbol(ctx, bbar):
     """The symbol from its partial transform b(m, w) on the difference windows.
 
     bbar has axes (m..., w...), doubled windows on the derived axes. There
-    it holds b at w_c = (r - N) h + [m, W]_c / 2; each fibre is translated
-    back onto the plain lattice through the doubled-window modes and
-    |w| < 2L folded onto the xi-dual window before the transform over w.
+    it holds b at w_c = (r - N) h + s_c(m, w), s_c = [m, W]_c / 2 over the
+    regular coordinates, so its 2N-point spectrum times exp(-i zeta s_c)
+    is that of the plain doubled window; the N-point transform of that
+    window folded onto |w| < L is its even modes (frequency sampling). So
+    each difference axis is transformed once: 2N points on the derived
+    axes, of which the even modes are kept, N points on the regular ones.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
-    half = N // 2
     der = _derived_axes(alg)
-    nc = [i for i in range(d) if i not in der]
+    reg = [i for i in range(d) if i not in der]
+    out = bbar
     if der:
-        x = grid.axis_x
+        out = centered_dft(bbar, [d + c for c in der], inverse=False)
+        even = [slice(None)] * (2 * d)
+        for c in der:
+            even[d + c] = slice(None, None, 2)
+        out = out[tuple(even)]
+        x, zeta = grid.axis_x, _fine_dual_axis(grid)[::2]
         cstr = alg.structure_constants
-        kfine = (np.arange(2 * N) - N) * grid.dxi / 2
         for c in der:
             s = 0.0
-            for i in nc:
-                for j in nc:
-                    if cstr[i, j, c] == 0.0:
-                        continue
-                    mi = x.reshape((N,) + (1,) * (2 * d - 1 - i))
-                    wj = x.reshape((N,) + (1,) * (d - 1 - j))
-                    s = s + 0.5 * cstr[i, j, c] * mi * wj
-            spec = centered_dft(bbar, [d + c], inverse=False)
-            spec *= np.exp(-1j * kfine.reshape((-1,) + (1,) * (d - 1 - c)) * s)
-            bbar = centered_dft(spec, [d + c], inverse=True)
-            bbar /= 2 * N
-        for c in der:
-            A = np.moveaxis(bbar, d + c, -1)
-            B = np.zeros(A.shape[:-1] + (N,), dtype=complex)
-            for r in range(2 * N):
-                B[..., (r - half) % N] += A[..., r]
-            bbar = np.moveaxis(B, -1, d + c)
-
-    out = centered_dft(bbar, range(d, 2 * d), inverse=False)
+            for i in reg:
+                for j in reg:
+                    if cstr[i, j, c] != 0.0:
+                        mi = x.reshape((N,) + (1,) * (2 * d - 1 - i))
+                        wj = x.reshape((N,) + (1,) * (d - 1 - j))
+                        s = s + 0.5 * cstr[i, j, c] * mi * wj
+            out = out * np.exp(-1j * zeta.reshape((-1,) + (1,) * (d - 1 - c)) * s)
+    if reg:
+        out = centered_dft(out, [d + i for i in reg], inverse=False)
     out *= h ** d
     return out
 
@@ -727,11 +733,7 @@ def _half_transform_table(ctx, symbol):
     d, N = grid.dim, grid.points_per_axis
     der = _derived_axes(ctx.algebra)
     reg = [i for i in range(d) if i not in der]
-    vals = centered_dft(symbol.values, range(d, 2 * d), inverse=True)
-    vals *= grid.dxi ** d
-    vals = _fine_spectrum(vals, [d + ax for ax in der])
-    order = list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der]
-    vals = np.transpose(vals, order)
+    vals = _partial_transform(ctx, symbol, grid.dxi ** d, reg + der)
     return np.ascontiguousarray(vals.reshape((N ** d,) + vals.shape[d:]))
 
 

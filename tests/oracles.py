@@ -12,6 +12,11 @@ every pair. `centered_dft_rolled` is the textbook centred transform that
 the library's copy-light one must match bit for bit, and
 `eval_words_einsum` the dense ad-matrix contraction that the library's
 sparse bracket program must match bit for bit on sparse bases.
+`midpoint_table_to_symbol_folded` inverts the class <= 1 midpoint table
+the long way round: per derived axis a 2N-point transform, the bracket
+shift, a 2N-point inverse and a fold of the doubled window onto |w| < L,
+then N-point transforms; the library reads the same values off the even
+modes of one 2N-point transform.
 """
 
 from math import ceil
@@ -198,7 +203,7 @@ def symbol_adjoint_upsampled(ctx, M):
     Scatters the kernel into the (2N)^d midpoint table at u = j + l, projects
     each midpoint axis onto its centred N band (2N-point forward transform,
     crop, N-point inverse), then undoes the bracket shifts and folds the
-    doubled windows as the library does.
+    doubled windows (`midpoint_table_to_symbol_folded`).
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -233,7 +238,49 @@ def symbol_adjoint_upsampled(ctx, M):
             crop = np.take(spec, np.arange(N - half, N + half), axis=ax)
             fine = wl.centered_dft(crop, [ax], inverse=True) / N
         table[..., start:start + nb] = fine
-    return wl._midpoint_table_to_symbol(ctx, table.reshape((N,) * d + wsize))
+    return midpoint_table_to_symbol_folded(ctx, table.reshape((N,) * d + wsize))
+
+
+def midpoint_table_to_symbol_folded(ctx, bbar):
+    """The symbol from its partial transform b(m, w) on the difference windows.
+
+    bbar has axes (m..., w...), doubled windows on the derived axes. There
+    it holds b at w_c = (r - N) h + [m, W]_c / 2; each fibre is translated
+    back onto the plain lattice through the doubled-window modes and
+    |w| < 2L folded onto the xi-dual window before the transform over w.
+    """
+    alg, grid = ctx.algebra, ctx.grid
+    d, N, h = grid.dim, grid.points_per_axis, grid.h
+    half = N // 2
+    der = wl._derived_axes(alg)
+    nc = [i for i in range(d) if i not in der]
+    if der:
+        x = grid.axis_x
+        cstr = alg.structure_constants
+        kfine = (np.arange(2 * N) - N) * grid.dxi / 2
+        for c in der:
+            s = 0.0
+            for i in nc:
+                for j in nc:
+                    if cstr[i, j, c] == 0.0:
+                        continue
+                    mi = x.reshape((N,) + (1,) * (2 * d - 1 - i))
+                    wj = x.reshape((N,) + (1,) * (d - 1 - j))
+                    s = s + 0.5 * cstr[i, j, c] * mi * wj
+            spec = wl.centered_dft(bbar, [d + c], inverse=False)
+            spec *= np.exp(-1j * kfine.reshape((-1,) + (1,) * (d - 1 - c)) * s)
+            bbar = wl.centered_dft(spec, [d + c], inverse=True)
+            bbar /= 2 * N
+        for c in der:
+            A = np.moveaxis(bbar, d + c, -1)
+            B = np.zeros(A.shape[:-1] + (N,), dtype=complex)
+            for r in range(2 * N):
+                B[..., (r - half) % N] += A[..., r]
+            bbar = np.moveaxis(B, -1, d + c)
+
+    out = wl.centered_dft(bbar, range(d, 2 * d), inverse=False)
+    out *= h ** d
+    return out
 
 
 def alpha_exponent_dense(ctx, rows=None):
