@@ -16,12 +16,16 @@ vanish. All evaluations therefore use zero-extension semantics: b is taken
 as zero outside its |w_i| < L data window on axes where w is an on-grid
 difference, and axes where w picks up off-grid bracket terms use a doubled
 spectral grid (2N modes at spacing dxi/2, the exact representation of the
-zero-padded window on |w| < 2L) plus explicit masking beyond. The midpoint
-slot is evaluated by exact trigonometric interpolation: half-step spectral
-shifts (spectral zero padding on one-dimensional groups) for half-grid
-points, mode sums on the axes where the group law is nonlinear (class >= 2).
-Both give the interpolant a plain nonuniform-DFT definition would, so the
-one assembly, for every class, matches a dense mode sum to round-off.
+zero-padded window on |w| < 2L) plus explicit masking beyond. Where such an
+axis's bracket term reads only on-grid coordinates, w is an integer grid
+shifted by an amount fixed per table entry, so the mode sums at every
+on-grid difference are one inverse transform after a shift phase (the
+shift theorem); elsewhere they are summed per pair. The midpoint slot is
+evaluated by exact trigonometric interpolation: half-step spectral shifts
+(spectral zero padding on one-dimensional groups) for half-grid points,
+mode sums on the axes where the group law is nonlinear (class >= 2). Both
+give the interpolant a plain nonuniform-DFT definition would, so the one
+assembly, for every class, matches a dense mode sum to round-off.
 """
 
 from __future__ import annotations
@@ -178,24 +182,30 @@ def _fine_spectrum(values, axes):
     out = values
     for ax in axes:
         n = out.shape[ax]
-        pad = [(0, 0)] * out.ndim
-        pad[ax] = (n // 2, n // 2)
-        out = centered_dft(np.pad(out, pad), [ax], inverse=False)
+        shape = list(out.shape)
+        shape[ax] = 2 * n
+        window = [slice(None)] * out.ndim
+        window[ax] = slice(n // 2, n // 2 + n)
+        padded = np.zeros(shape, dtype=out.dtype)
+        padded[tuple(window)] = out
+        out = centered_dft(padded, [ax], inverse=False)
         out /= 2 * n
     return out
 
 
-def _partial_transform(ctx, symbol, scale, w_order):
-    """b[X axes..., w axes in w_order]: the symbol's transform over xi.
+def _partial_transform(ctx, values, scale, w_order, fine):
+    """b[X axes..., w axes in w_order]: a symbol's transform over xi.
 
-    The inverse transform over xi times scale, with the derived difference
-    axes replaced by their doubled-grid spectra (`_fine_spectrum`); w_order
-    lists the difference axes in the order the caller reads them.
+    values holds the symbol's samples, X axes first (they may span a tensor
+    sub-grid), then its d xi axes. The inverse transform over xi times
+    scale, with the difference axes listed in fine replaced by their
+    doubled-grid spectra (`_fine_spectrum`); w_order lists the difference
+    axes in the order the caller reads them.
     """
     d = ctx.grid.dim
-    b = centered_dft(symbol.values, range(d, 2 * d), inverse=True)
+    b = centered_dft(values, range(d, 2 * d), inverse=True)
     b *= scale
-    b = _fine_spectrum(b, [d + ax for ax in _derived_axes(ctx.algebra)])
+    b = _fine_spectrum(b, [d + ax for ax in fine])
     return np.transpose(b, list(range(d)) + [d + ax for ax in w_order])
 
 
@@ -379,6 +389,21 @@ def _nonlinear_axes(alg):
     return [k for k in range(alg.dim) if hit[k]]
 
 
+def _shiftable_axes(alg):
+    """Derived axes whose bracket term reads regular coordinates only.
+
+    On such an axis c every nonzero structure constant c_ijc has i and j
+    off the derived axes, so for a kernel pair with midpoint m and
+    difference delta the coordinate w_c = delta_c - [delta, m]_c / 2 is the
+    integer grid r_c h shifted by an amount that the regular axes fix. A
+    nonlinear axis is never shiftable: its bracket reads a derived axis.
+    """
+    cstr = alg.structure_constants
+    der = _derived_axes(alg)
+    return [c for c in der
+            if not any(i in der or j in der for i, j in zip(*np.nonzero(cstr[:, :, c])))]
+
+
 def _kernel_structured(ctx, a):
     """Dealphaed kernel for any class: on-grid differences, fine derived axes.
 
@@ -394,12 +419,24 @@ def _kernel_structured(ctx, a):
     difference, so the position spectrum carries that axis's half-step ramp
     once per call; a derived axis takes both parities, so every slab makes
     one inverse transform per parity pattern of the derived half-step axes
-    and reads it at (j + k) // 2. With no regular axis, q is derived and one
-    slab over all (j_q, k_q) keeps its whole difference mode axis.
+    and reads it at (j + k) // 2.
+
+    A shiftable derived axis c (`_shiftable_axes`) has w_c = r_c h - S_c,
+    r_c = j_c - k_c, where S_c = [delta, m]_c / 2 is fixed by the table's own
+    regular midpoints m and differences delta. Since h zeta_k = pi (k - N) / N,
+    the mode sum at every r_c at once is one 2N-point inverse transform of
+    the doubled window's spectrum times exp(-i zeta S_c) (the shift
+    theorem): each parity table keeps the N-point window through its
+    position transform, doubles it, takes the phase and the inverse
+    transform, is masked where |r_c h - S_c| >= 2L, and is read at r_c by
+    index. The other derived axes keep their doubled mode axis and are
+    summed per pair against compiled phases (`_derived_phase`). With no
+    regular axis no axis is shiftable, q is derived, and one slab over all
+    (j_q, k_q) keeps its whole mode axis.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
-    L, dxi = grid.box_half_width, grid.dxi
+    L, h, dxi = grid.box_half_width, grid.h, grid.dxi
     half = N // 2
     der = _derived_axes(alg)
     nl = _nonlinear_axes(alg)
@@ -408,37 +445,66 @@ def _kernel_structured(ctx, a):
     # position axes read by index rather than summed over modes
     par = [c for c in der if c not in nl]
     lin = [i for i in range(d) if i not in nl]
+    # the derived axes read by index after a shift transform, the derived
+    # half-step axes summed against per-pair phases, and the axes whose
+    # partial transform carries the doubled-grid spectrum
+    shift = _shiftable_axes(alg)
+    modal = [c for c in par if c not in shift]
+    fine = [c for c in der if c not in shift]
     q = (reg or der)[0]
     npar = 1 << len(par)
 
+    # complex entries alive at the peak of each stage, the input aside:
+    # - the transform over xi: its copy out, then the doubling of the fine
+    #   axes one at a time (input, padded, its two copies, and b);
+    # - the position spectrum: b and its two copies; with d = 1 instead the
+    #   upsampling (b, its spectrum, the padded one, two copies, the kernel);
+    # - the pairs: the spectrum, the kernel, the parity tables of each slab
+    #   being built with one table's transform copies, the pair layout's
+    #   integer index vectors, and per worker one pair's table, gathered
+    #   entries and their contraction
+    # plus 64 kB of small tables
+    n2 = N ** (2 * d)
+    bsize = n2 << len(fine)
+    table = (bsize // N if reg else bsize) << len(shift)
+    layout = N ** (2 * d - 2)
+    gathered = layout * (2 * N) ** len(modal) * (2 * N * N) ** len(nl)
+    workers = min(ctx.threads, N if reg else N * N)
+    building = workers if reg else 1
+    stages = (2 * n2 + (3.5 * bsize + n2 if fine else 0),
+              9 * n2 if d == 1 else 3 * bsize,
+              bsize + n2 + building * (npar + 4) * table + (len(reg) + len(shift)) * layout
+              + workers * (2 * gathered + npar * table // N))
+    _check_work_bytes(16 * max(stages) + (1 << 16))
+
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
-    # measure, doubled-grid spectra on the derived axes, then the w block
-    # reordered to (regular axes..., derived mode axes, nonlinear last...)
-    b = _partial_transform(ctx, a, (dxi / TWO_PI) ** d, reg + par + nl)
-    # b, its position spectrum, one slab per parity pattern, one pair's gather
-    gathered = N ** (2 * d - 2) * (2 * N) ** len(der) * N ** len(nl)
-    _check_work_bytes(16 * (2 * b.size + npar * b.size // (N if reg else 1) + gathered))
+    # measure, the w block reordered to (regular, shiftable, modal derived,
+    # nonlinear axes); the shiftable axes keep their N-point windows
+    b = _partial_transform(ctx, a.values, (dxi / TWO_PI) ** d,
+                           reg + shift + modal + nl, fine)
 
     x = grid.axis_x
     zeta = _fine_dual_axis(grid)
     cstr = alg.structure_constants
-    ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     if d == 1:
+        ktensor = np.zeros((N, N), dtype=complex)
         up = _upsample2(b, [0])
         for r in range(-half, half):
             js = np.arange(max(0, r), min(N, N + r))
             ktensor[js, js - r] = up[2 * js - r, r + half]
-        return ktensor.reshape(N, N)
+        return ktensor
 
     # the position spectrum with every regular axis's ramp at odd differences
     spec = centered_dft(b, range(d), inverse=False)
+    del b
     reg_ramps = _parity_ramps(grid, N, half)
     for pos, ax in enumerate(reg):
         shape = [1] * spec.ndim
         shape[ax], shape[d + pos] = N, N
         spec *= reg_ramps.reshape(shape)
     ramp = _half_step_ramp(grid)
+    ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
     # broadcasting per-axis index vectors; axis q is set per pair
@@ -457,25 +523,68 @@ def _kernel_structured(ctx, a):
             rr = jrest[ax] - krest[ax]
             rmask &= (rr >= -half) & (rr < half)
             ridx.append(np.clip(rr + half, 0, N - 1))
-    # w_c = y_c - z_c - [Y, Z]_c / 2 on each derived half-step axis
+    # a shiftable axis's table is indexed by r_c + N, r_c in [-N, N)
+    ridx += [jrest[c] - krest[c] + N for c in shift]
+    # w_c = y_c - z_c - [Y, Z]_c / 2 on each modal derived axis
     e = np.eye(d)
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
-                 for c in par]
+                 for c in modal]
+
+    # a slab's parity table: the d positions, then the w block
+    w_axis = {ax: d + pos for pos, ax in enumerate(reg[1:] + shift + modal + nl)}
+    shift_axes = [w_axis[c] for c in shift]
+
+    def along(v, axis):
+        shape = [1] * (2 * d - 1)
+        shape[axis] = v.size
+        return v.reshape(shape)
+
+    # on a parity table regular axis i has difference r_i h and midpoint
+    # (u_i - N/2) h, plus h / 2 at odd r_i; on axis q, r_i is the slab's r
+    diff = {i: along(np.arange(N) - half, w_axis[i]) for i in reg[1:]}
+    mid = {i: along(x, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
+    # S_c = [delta, m]_c / 2 as (coefficient, i, j) terms
+    s_terms = [[(0.5 * h * cstr[i, j, c], i, j) for i, j in zip(*np.nonzero(cstr[:, :, c]))]
+               for c in shift]
+    w_fine = (np.arange(2 * N) - N) * h
+
+    def shift_factors(r):
+        """exp(-i zeta S_c) / N^d over the shiftable axes' doubled modes, and
+        the mask |r_c h - S_c| < 2L over their r_c + N axes, for slab r."""
+        dr = {**diff, q: r}
+        mr = {**mid, q: along(x, q) + (r % 2) * (h / 2)}
+        phase, keep = 1.0 / N ** d, True
+        for c, terms in zip(shift, s_terms):
+            s = sum(coef * dr[i] * mr[j] for coef, i, j in terms)
+            phase = phase * np.exp(-1j * (along(zeta, w_axis[c]) * s))
+            keep = keep & (np.abs(along(w_fine, w_axis[c]) - s) < 2 * L)
+        return phase, keep
 
     def slab_tables(r):
         sl = spec if r is None else np.take(spec, r + half, axis=d)
-        tables = np.empty((npar,) + sl.shape, dtype=complex)
+        shape = list(sl.shape)
+        for ax in shift_axes:
+            shape[ax] *= 2
+        tables = np.empty((npar,) + tuple(shape), dtype=complex)
+        if shift:
+            phase, keep = shift_factors(r)
         for p in range(npar):
-            shifted = sl
+            t = sl
             for bit, c in enumerate(par):
                 if p >> bit & 1:
-                    shifted = shifted * ramp.reshape((N,) + (1,) * (sl.ndim - 1 - c))
-            np.divide(centered_dft(shifted, lin, inverse=True), N ** d, out=tables[p])
+                    t = t * ramp.reshape((N,) + (1,) * (sl.ndim - 1 - c))
+            t = centered_dft(t, lin, inverse=True)
+            if not shift:
+                np.divide(t, N ** d, out=tables[p])
+                continue
+            t = _fine_spectrum(t, shift_axes)
+            t *= phase
+            t = centered_dft(t, shift_axes, inverse=True)
+            np.multiply(t, keep, out=tables[p])
         # the nonlinear position axes stay spectral, behind the w block
         return np.moveaxis(tables, [1 + c for c in nl], range(-len(nl), 0))
 
     def do_pairs(tables, qpairs):
-        out = []
         for j_q, k_q in qpairs:
             val = tables
             if q in lin:
@@ -494,17 +603,19 @@ def _kernel_structured(ctx, a):
                            + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
                 keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L, axis=-1)
                         & np.all(np.abs(M[..., nl]) <= L, axis=-1))
-            out.append((j_q, k_q, np.where(keep, _contract_modes(val, phases), 0.0)))
-        return out
+            idx = [slice(None)] * (2 * d)
+            idx[q], idx[d + q] = j_q, k_q
+            ktensor[tuple(idx)] = np.where(keep, _contract_modes(val, phases), 0.0)
 
     # a worker per slab builds its tables; with no regular axis the one
-    # slab's tables are built once and the workers split its pairs
+    # slab's tables are built once and the workers split its pairs; every
+    # pair writes its own block of the kernel
     if reg:
         jobs = [(r, [(j, j - r) for j in range(max(0, r), min(N, N + r))])
                 for r in range(-half, half)]
 
         def run(job):
-            return do_pairs(slab_tables(job[0]), job[1])
+            do_pairs(slab_tables(job[0]), job[1])
     else:
         qpairs = [(j, k) for j in range(N) for k in range(N)]
         jobs = [qpairs[i::ctx.threads] for i in range(ctx.threads)]
@@ -513,14 +624,10 @@ def _kernel_structured(ctx, a):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            results = list(pool.map(run, jobs))
+            list(pool.map(run, jobs))
     else:
-        results = [run(job) for job in jobs]
-    for slab in results:
-        for j_q, k_q, val in slab:
-            idx = [slice(None)] * (2 * d)
-            idx[q], idx[d + q] = j_q, k_q
-            ktensor[tuple(idx)] = val
+        for job in jobs:
+            run(job)
     return ktensor.reshape(N ** d, N ** d)
 
 
@@ -722,19 +829,23 @@ def moyal_product(ctx, a, b):
     return symbol_from_kernel(ctx, compose_kernels(Ka, Kb))
 
 
-def _half_transform_table(ctx, symbol):
+def _half_transform_table(ctx, symbol, x_axes):
     """Table for At(X, u) = INT symbol(X, z) e^{i<z, u>} dz.
 
-    Layout (N^d flat X, u on regular axes..., modes on central axes...):
+    Layout (flat X, u on regular axes..., modes on central axes...):
     regular axes carry the on-grid |u| < L window (zero outside), central
-    axes stay spectral on the doubled mode grid.
+    axes stay spectral on the doubled mode grid. X runs over the tensor
+    sub-grid that x_axes, a list of d grid index arrays, spans, raveled in
+    "ij" order; each row depends only on its own X, so it is the whole-grid
+    table's row bit for bit.
     """
     grid = ctx.grid
     d, N = grid.dim, grid.points_per_axis
     der = _derived_axes(ctx.algebra)
     reg = [i for i in range(d) if i not in der]
-    vals = _partial_transform(ctx, symbol, grid.dxi ** d, reg + der)
-    return np.ascontiguousarray(vals.reshape((N ** d,) + vals.shape[d:]))
+    values = symbol.values[np.ix_(*x_axes, *([np.arange(N)] * d))]
+    vals = _partial_transform(ctx, values, grid.dxi ** d, reg + der, der)
+    return np.ascontiguousarray(vals.reshape((-1,) + vals.shape[d:]))
 
 
 def _moyal_beta(ctx, X, t_axes=None, z_axes=None):
@@ -773,7 +884,10 @@ def moyal_2step_point(ctx, a, b, X, xi):
     with At, Bt the inverse transforms of the symbols over the covector
     slot. Independent of the kernel machinery, so it cross-checks the
     compose-then-invert route. X must lie on the position grid (only then
-    are u and v on-grid in the non-central coordinates).
+    are u and v on-grid in the non-central coordinates). Pairs whose
+    regular coordinates of u or v leave the |.| < L window add exact zeros,
+    so T and Z run over tensor sub-grids, and At and Bt are transformed on
+    those rows only; with no regular axis the sub-grids are the whole grid.
     """
     alg, grid = ctx.algebra, ctx.grid
     if alg.nilpotency_class > 1:
@@ -789,8 +903,6 @@ def moyal_2step_point(ctx, a, b, X, xi):
 
     der = _derived_axes(alg)
     reg = [i for i in range(d) if i not in der]
-    Ca = _half_transform_table(ctx, a)
-    Cb = _half_transform_table(ctx, b)
     x, zeta = grid.axis_x, _fine_dual_axis(grid)
     cstr = alg.structure_constants
     pts = _grid_points(ctx)
@@ -815,6 +927,10 @@ def moyal_2step_point(ctx, a, b, X, xi):
     z_idx = [v.reshape((1,) * (1 + ax) + (-1,) + (1,) * (d - 1 - ax))
              for ax, v in enumerate(z_axes)]
     iv = iv[:, zs]
+    # At is read only at the Z rows and Bt only at the T rows, so each
+    # table is built on its window's sub-grid, rows in zs and ts order
+    Ca = _half_transform_table(ctx, a, z_axes)
+    Cb = _half_transform_table(ctx, b, t_axes)
 
     # u_c = 2(X-T)_c + [Z, X-T]_c and v_c = 2(Z-X)_c + [T, Z-X]_c as
     # functions of the pair (P, Q) = (T, Z)
@@ -839,10 +955,13 @@ def moyal_2step_point(ctx, a, b, X, xi):
         tb = ts[t0:t0 + block]
         nt = tb.size
         t_idx = [idx[ax, tb].reshape((nt,) + (1,) * d) for ax in range(d)]
-        At = Ca[(zs[None, :],) + tuple(r[tb, None] for r in iu)]
+        # the row indices span the (T, Z) block even with no regular axis
+        z_rows = np.broadcast_to(np.arange(zs.size), (nt, zs.size))
+        t_rows = np.broadcast_to(np.arange(t0, t0 + nt)[:, None], (nt, zs.size))
+        At = Ca[(z_rows,) + tuple(r[tb, None] for r in iu)]
         At = _contract_modes(At.reshape((nt,) + z_shape + At.shape[2:]),
                              [fn(t_idx, z_idx) for fn in u_fns])
-        Bt = Cb[(tb[:, None],) + tuple(r[None, :] for r in iv)]
+        Bt = Cb[(t_rows,) + tuple(r[None, :] for r in iv)]
         Bt = _contract_modes(Bt.reshape((nt,) + z_shape + Bt.shape[2:]),
                              [fn(t_idx, z_idx) for fn in v_fns])
         prod = beta[t0:t0 + block] * At.reshape(nt, -1) * Bt.reshape(nt, -1)

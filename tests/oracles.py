@@ -359,8 +359,8 @@ def moyal_point_dense(ctx, a, b, X, xi):
     xi = np.asarray(xi, dtype=float)
     der = wl._derived_axes(ctx.algebra)
     reg = [i for i in range(d) if i not in der]
-    Ca = wl._half_transform_table(ctx, a)
-    Cb = wl._half_transform_table(ctx, b)
+    Ca = wl._half_transform_table(ctx, a, [np.arange(N)] * d)
+    Cb = wl._half_transform_table(ctx, b, [np.arange(N)] * d)
     zeta = wl._fine_dual_axis(grid)
     pts = wl._grid_points(ctx)
     n = pts.shape[0]

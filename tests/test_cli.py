@@ -313,6 +313,23 @@ class TestSuiteCommand:
         cfg = write_config(tmp_path, **body)
         assert run("suite", "--config", cfg, "--out", str(tmp_path / "r")) == 2
 
+    def test_moyal_crosscheck_without_a_regular_axis(self, tmp_path, capsys):
+        # Heisenberg in the basis e1, e2, e1 + e2 + e3: no axis is regular;
+        # at N = 4 the route-vs-direct gap is above its gate, so this exits 1
+        skew = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [-1, -1, 1]},
+                                       {"i": 1, "j": 3, "coeffs": [-1, -1, 1]},
+                                       {"i": 2, "j": 3, "coeffs": [1, 1, -1]}]}
+        cfg = write_config(tmp_path, algebra=skew, grid={"N": 4, "L": 3.0},
+                           suites=["moyal-crosscheck"])
+        code = run("suite", "--config", cfg, "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert len(err.splitlines()) == code and err.split(":")[0] in ("", "CheckFailed")
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert [c["check"] for c in report["checks"]] == ["moyal-direct-vs-route",
+                                                          "moyal-abelian-closed-form"]
+        assert all(np.isfinite(c["value"]) for c in report["checks"])
+
     def test_abelian_landau_full_cheap_suites(self, tmp_path, capsys):
         body = {"algebra": "abelian:2", "potential": "landau:0.5",
                 "grid": {"N": 16, "L": 6.0},

@@ -29,6 +29,10 @@ numbers = st.one_of(st.sampled_from([0, 1, -1, 0.5]),
 ALGEBRAS = {"abelian:1": 1, "abelian:2": 2, "abelian:3": 3, "heisenberg:3": 3,
             "filiform3:4": 4}
 HEIS_INLINE = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}
+# Heisenberg in the basis e1, e2, e1 + e2 + e3: no axis is regular
+HEIS_SKEW_INLINE = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [-1, -1, 1]},
+                                           {"i": 1, "j": 3, "coeffs": [-1, -1, 1]},
+                                           {"i": 2, "j": 3, "coeffs": [1, 1, -1]}]}
 SUITES = ["fourier", "unitarity", "gauge", "abelian-baseline", "derivative-check"]
 
 
@@ -114,7 +118,7 @@ def bad_values(dim):
 
 @st.composite
 def configs(draw, command):
-    algebra = draw(st.sampled_from(list(ALGEBRAS) + [HEIS_INLINE]))
+    algebra = draw(st.sampled_from(list(ALGEBRAS) + [HEIS_INLINE, HEIS_SKEW_INLINE]))
     dim = 3 if isinstance(algebra, dict) else ALGEBRAS[algebra]
     N = 2 if dim == 4 else draw(st.sampled_from([2, 4]))
     potentials = ["zero", None, inline_potentials(dim, valid=True)]

@@ -386,6 +386,23 @@ class TestDenseOracles:
         assert np.abs((W - (Y - Z - lc.bracket(alg, Y, Z) / 2))[:, off]).max() < 1e-12
         assert np.abs((M - (Y + Z) / 2)[:, off]).max() < 1e-12
 
+    @pytest.mark.parametrize("alg, shiftable", [(HEIS, [2]), (DER2, [3, 4]), (FIL, [2]),
+                                                (HEIS_SKEW, [])],
+                             ids=["heisenberg3", "two-derived", "filiform", "heisenberg3-skew"])
+    def test_shiftable_axes_skip_the_per_pair_phases(self, alg, shiftable, monkeypatch):
+        # a derived axis whose bracket reads regular axes only is read by
+        # index after one shift transform per slab; the others keep their
+        # compiled per-pair phases
+        assert wl._shiftable_axes(alg) == shiftable
+        calls = []
+        phase = wl._derived_phase
+        monkeypatch.setattr(wl, "_derived_phase", lambda *args: calls.append(1) or phase(*args))
+        ctx = zero_ctx(alg, 2, 3.0)
+        wl._kernel_structured(ctx, boxed_gaussian(ctx.grid))
+        modal = [c for c in wl._derived_axes(alg)
+                 if c not in shiftable + wl._nonlinear_axes(alg)]
+        assert len(calls) == len(modal)
+
     @staticmethod
     def moyal_pair(ctx, jx, xi):
         """Production and dense direct point for two boxed Gaussians."""
@@ -425,6 +442,13 @@ class TestDenseOracles:
         ctx = wl.make_context(DER2, A, sp.make_grid(5, 4, 3.0))
         got, want = self.moyal_pair(ctx, [1, 2, 2, 3, 1],
                                     np.array([0.2, -0.1, 0.3, 0.1, -0.2]))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_moyal_point_without_a_regular_axis(self):
+        # every axis derived: the window sub-grids of T and Z are whole
+        A = random_potential(HEIS_SKEW, np.random.default_rng(47), degree=1)
+        ctx = wl.make_context(HEIS_SKEW, A, sp.make_grid(3, 4, 3.0))
+        got, want = self.moyal_pair(ctx, [1, 2, 2], np.array([0.2, -0.1, 0.3]))
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_kernel_two_derived_axes(self):
@@ -581,7 +605,8 @@ class TestTransformWork:
     N-point transforms; the 2N-point upsampling round trip did 1.23e7 and
     1.28e7 units of work here. The adjoint's last step transforms each
     difference axis once; with a 2N-point inverse and a fold per derived
-    axis it did 1.84e6."""
+    axis it did 1.84e6. The direct Moyal point transforms its tables on the
+    window rows only; on every row of the grid they took 2.62e6."""
 
     def setup_method(self):
         self.ctx = heis_ctx(8, 6.0)
@@ -606,6 +631,15 @@ class TestTransformWork:
         monkeypatch.setattr(wl, "centered_dft", work)
         wl._midpoint_table_to_symbol(self.ctx, bbar)
         assert 0 < work.work < 1.2e6
+
+    def test_direct_moyal_point(self, monkeypatch):
+        # at this probe the windows keep 4 of 8 rows on each regular axis
+        b = boxed_gaussian(self.ctx.grid, centers_xi=[0.1, -0.2, 0.0])
+        work = TransformWork()
+        monkeypatch.setattr(wl, "centered_dft", work)
+        wl.moyal_2step_point(self.ctx, self.a, b, self.ctx.grid.axis_x[[3, 5, 4]],
+                             np.array([0.2, -0.1, 0.3]))
+        assert 0 < work.work < 1e6
 
 
 class TestWorkBudget:
@@ -646,16 +680,31 @@ class TestWorkBudget:
             with pytest.raises(ShapeError):
                 run()
 
-    def test_interpolating_inverse_peak_within_its_estimate(self, monkeypatch):
-        fctx = filiform_ctx(4)
-        fK = wl._kernel_structured(fctx, filiform_symbol(fctx.grid))
+    def peak_and_estimates(self, monkeypatch, run):
+        """The tracemalloc peak of run() and the estimates it checked."""
         estimates = self.record_estimates(monkeypatch)
         tracemalloc.start()
         try:
-            wl._symbol_interp(fctx, fK)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, estimates
+
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_structured_assembly_peak_within_its_estimate(self, N, monkeypatch):
+        ctx = heis_ctx(N, 6.0)
+        a = boxed_gaussian(ctx.grid)
+        peak, estimates = self.peak_and_estimates(monkeypatch,
+                                                  lambda: wl._kernel_structured(ctx, a))
+        assert len(estimates) == 1
+        assert peak <= estimates[0]
+
+    def test_interpolating_inverse_peak_within_its_estimate(self, monkeypatch):
+        fctx = filiform_ctx(4)
+        fK = wl._kernel_structured(fctx, filiform_symbol(fctx.grid))
+        peak, estimates = self.peak_and_estimates(monkeypatch,
+                                                  lambda: wl._symbol_interp(fctx, fK))
         assert len(estimates) == 1
         assert peak <= estimates[0]
 
