@@ -41,5 +41,9 @@ class WrongClass(MagweylError):
     """Operation requires an algebra of different nilpotency class."""
 
 
+class NotShiftable(MagweylError):
+    """The class <= 1 inverse met a derived axis whose bracket reads a derived axis."""
+
+
 class ConfigError(MagweylError):
     """Run configuration is missing, malformed, or inconsistent."""

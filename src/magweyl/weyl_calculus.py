@@ -21,11 +21,11 @@ axis's bracket term reads only on-grid coordinates, w is an integer grid
 shifted by an amount fixed per table entry, so the mode sums at every
 on-grid difference are one inverse transform after a shift phase (the
 shift theorem); elsewhere they are summed per pair. The midpoint slot is
-evaluated by exact trigonometric interpolation: half-step spectral shifts
-(spectral zero padding on one-dimensional groups) for half-grid points,
-mode sums on the axes where the group law is nonlinear (class >= 2). Both
-give the interpolant a plain nonuniform-DFT definition would, so the one
-assembly, for every class, matches a dense mode sum to round-off.
+evaluated by exact trigonometric interpolation: spectral zero padding (or
+its half-step ramp) for half-grid points, mode sums on the axes where the
+group law is nonlinear (class >= 2). Both give the interpolant a plain
+nonuniform-DFT definition would, so the one assembly, for every class,
+matches a dense mode sum to round-off.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import lie_core, magnetic
-from .errors import ShapeError, WrongClass
+from .errors import NotShiftable, ShapeError, WrongClass
 from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
 
 TWO_PI = 2.0 * np.pi
@@ -153,22 +153,22 @@ def _derived_axes(alg):
     return [k for k in range(alg.dim) if hit[k]]
 
 
-def _upsample2(values, axes):
-    """Refine the grid by 2 along the given axes via spectral zero-padding.
+def _pad_centred(values, axes):
+    """values zero-padded to twice its length on each listed axis, centred.
 
-    Returns samples of the trigonometric interpolant at half-step points:
-    output index u corresponds to (u - N) h / 2 when the input index j
-    corresponds to (j - N/2) h. Exact at the original nodes (u = 2j).
+    Index j moves to j + n/2: the zero extension of a window of samples, or
+    the spectral zero padding of a centred spectrum, whose 2n-point inverse
+    transform samples the interpolant at half steps.
     """
-    out = values
+    shape = list(values.shape)
+    window = [slice(None)] * values.ndim
     for ax in axes:
-        n = out.shape[ax]
-        spec = centered_dft(out, [ax], inverse=False)
-        pad = [(0, 0)] * out.ndim
-        pad[ax] = (n // 2, n // 2)
-        out = centered_dft(np.pad(spec, pad), [ax], inverse=True)
-        out /= n
-    return out
+        n = shape[ax]
+        shape[ax] = 2 * n
+        window[ax] = slice(n // 2, n // 2 + n)
+    padded = np.zeros(shape, dtype=values.dtype)
+    padded[tuple(window)] = values
+    return padded
 
 
 def _fine_spectrum(values, axes):
@@ -181,15 +181,8 @@ def _fine_spectrum(values, axes):
     """
     out = values
     for ax in axes:
-        n = out.shape[ax]
-        shape = list(out.shape)
-        shape[ax] = 2 * n
-        window = [slice(None)] * out.ndim
-        window[ax] = slice(n // 2, n // 2 + n)
-        padded = np.zeros(shape, dtype=out.dtype)
-        padded[tuple(window)] = out
-        out = centered_dft(padded, [ax], inverse=False)
-        out /= 2 * n
+        out = centered_dft(_pad_centred(out, [ax]), [ax], inverse=False)
+        out /= out.shape[ax]
     return out
 
 
@@ -361,8 +354,9 @@ def _half_step_ramp(grid):
 
     Multiplying the N-point spectrum of samples by it and transforming back
     gives the trigonometric interpolant half a step on, at (s - N/2) h + h/2:
-    the odd outputs of the 2x spectral upsampling (`_upsample2`), whose even
-    outputs are the samples themselves.
+    the odd outputs of 2x spectral zero padding (`_pad_centred` and a
+    2N-point inverse transform), whose even outputs are the samples
+    themselves.
     """
     return np.exp(0.5j * grid.h * grid.axis_xi)
 
@@ -409,73 +403,94 @@ def _kernel_structured(ctx, a):
 
     Off the derived axes w = Y*(-Z) has plain differences y_i - z_i, and off
     the nonlinear axes (`_nonlinear_axes`) the midpoint (Y+Z)/2 lies on the
-    half-step grid, so those evaluations are exact interpolant values
-    obtained by indexing, a spectral half-step shift, or a short mode sum.
-    A nonlinear axis stays spectral in both slots: its N position modes and
+    half-step grid, so those evaluations are exact interpolant values. A
+    nonlinear axis stays spectral in both slots: its N position modes and
     2N difference modes are summed against the group law's midpoint and
     difference on every pair, masked where |m| > L or |w| >= 2L.
     Assembly runs in slabs of constant j - k along the first regular axis
     q. The midpoint index j + k of a regular axis has the parity of its
     difference, so the position spectrum carries that axis's half-step ramp
-    once per call; a derived axis takes both parities, so every slab makes
-    one inverse transform per parity pattern of the derived half-step axes
-    and reads it at (j + k) // 2.
+    once per call and the slab table is read at (j + k) // 2. A derived
+    axis off the nonlinear ones takes both parities, so each slab pads its
+    spectrum to 2N modes and transforms it to the half-step grid, read at
+    j + k; so is the one axis of a one-dimensional group.
 
     A shiftable derived axis c (`_shiftable_axes`) has w_c = r_c h - S_c,
     r_c = j_c - k_c, where S_c = [delta, m]_c / 2 is fixed by the table's own
     regular midpoints m and differences delta. Since h zeta_k = pi (k - N) / N,
     the mode sum at every r_c at once is one 2N-point inverse transform of
     the doubled window's spectrum times exp(-i zeta S_c) (the shift
-    theorem): each parity table keeps the N-point window through its
-    position transform, doubles it, takes the phase and the inverse
-    transform, is masked where |r_c h - S_c| >= 2L, and is read at r_c by
-    index. The other derived axes keep their doubled mode axis and are
-    summed per pair against compiled phases (`_derived_phase`). With no
-    regular axis no axis is shiftable, q is derived, and one slab over all
-    (j_q, k_q) keeps its whole mode axis.
+    theorem), masked where |r_c h - S_c| >= 2L and read at r_c by index.
+    The other derived axes keep their doubled mode axis and are summed per
+    pair against compiled phases (`_derived_phase`). With no regular axis
+    no axis is shiftable, q is derived, and one slab over all (j_q, k_q)
+    keeps its whole mode axis. Pairs are gathered in blocks of about
+    _PAIR_BUDGET entries, by as many workers as ctx.threads and the work
+    budget allow.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
     L, h, dxi = grid.box_half_width, grid.h, grid.dxi
     half = N // 2
+    cstr = alg.structure_constants
     der = _derived_axes(alg)
     nl = _nonlinear_axes(alg)
     reg = [i for i in range(d) if i not in der]
-    # derived axes whose midpoints take both half-step parities, and the
-    # position axes read by index rather than summed over modes
-    par = [c for c in der if c not in nl]
     lin = [i for i in range(d) if i not in nl]
     # the derived axes read by index after a shift transform, the derived
     # half-step axes summed against per-pair phases, and the axes whose
     # partial transform carries the doubled-grid spectrum
     shift = _shiftable_axes(alg)
-    modal = [c for c in par if c not in shift]
+    modal = [c for c in der if c not in nl + shift]
     fine = [c for c in der if c not in shift]
+    # the position axes upsampled to 2N points (derived half-step axes, or the
+    # one axis of a one-dimensional group) and those with a half-step ramp
+    up = [0] if d == 1 else [c for c in lin if c in der]
+    ramped = [i for i in reg if i not in up]
     q = (reg or der)[0]
-    npar = 1 << len(par)
+
+    # a slab's (j_q, k_q) pairs are gathered `block` at a time; a job is a
+    # slab, or with no regular axis a block of the one slab's pairs
+    n2 = N ** (2 * d)
+    layout = N ** (2 * d - 2)
+    gathered = layout * (2 * N) ** len(modal) * (2 * N * N) ** len(nl)
+    block = max(1, _PAIR_BUDGET // gathered)
+    jobs = (list(range(-half, half)) if reg
+            else [np.arange(s, min(s + block, N * N)) for s in range(0, N * N, block)])
 
     # complex entries alive at the peak of each stage, the input aside:
     # - the transform over xi: its copy out, then the doubling of the fine
     #   axes one at a time (input, padded, its two copies, and b);
-    # - the position spectrum: b and its two copies; with d = 1 instead the
-    #   upsampling (b, its spectrum, the padded one, two copies, the kernel);
-    # - the pairs: the spectrum, the kernel, the parity tables of each slab
-    #   being built with one table's transform copies, the pair layout's
-    #   integer index vectors, and per worker one pair's table, gathered
-    #   entries and their contraction
+    # - the position spectrum: b and its two copies;
+    # - the slabs: the spectrum, the kernel, the index vectors, the modal
+    #   phase tables ((N, N, 2N) per term), and per worker a slab table
+    #   being built (its last transform's input and two copies) or a built
+    #   table and a block of pairs (the gathered entries, their first
+    #   contraction, and per pair the output, its mask, 2 x 2N layouts per
+    #   modal axis and 6N + 4d per nonlinear one); with no regular axis the
+    #   one table is built before the workers run
     # plus 64 kB of small tables
-    n2 = N ** (2 * d)
     bsize = n2 << len(fine)
-    table = (bsize // N if reg else bsize) << len(shift)
-    layout = N ** (2 * d - 2)
-    gathered = layout * (2 * N) ** len(modal) * (2 * N * N) ** len(nl)
-    workers = min(ctx.threads, N if reg else N * N)
-    building = workers if reg else 1
-    stages = (2 * n2 + (3.5 * bsize + n2 if fine else 0),
-              9 * n2 if d == 1 else 3 * bsize,
-              bsize + n2 + building * (npar + 4) * table + (len(reg) + len(shift)) * layout
-              + workers * (2 * gathered + npar * table // N))
-    _check_work_bytes(16 * max(stages) + (1 << 16))
+    table = (bsize // N if reg else bsize) << (len(shift) + len(up))
+    phase_tables = 2 * N ** 3 * sum(np.count_nonzero(cstr[:, :, c]) + 2 for c in modal)
+    pairs = min(block, N if reg else N * N) * (
+        gathered + (gathered // (2 * N) if modal + nl else 0)
+        + layout * (2 + 4 * N * len(modal) + (6 * N + 4 * d) * len(nl)))
+
+    def work_bytes(workers):
+        slabs = (workers * (table + max(2 * table, pairs)) if reg
+                 else max(3 * table, table + workers * pairs))
+        stages = (2 * n2 + (3.5 * bsize + n2 if fine else 0),
+                  3 * bsize,
+                  bsize + n2 + (len(lin) + len(reg) + len(shift)) * layout + phase_tables
+                  + slabs)
+        return 16 * max(stages) + (1 << 16)
+
+    # the most workers that fit the budget; refuse when one does not
+    workers = min(ctx.threads, len(jobs))
+    while workers > 1 and work_bytes(workers) > _MAX_WORK_BYTES:
+        workers -= 1
+    _check_work_bytes(work_bytes(workers))
 
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
     # measure, the w block reordered to (regular, shiftable, modal derived,
@@ -483,40 +498,27 @@ def _kernel_structured(ctx, a):
     b = _partial_transform(ctx, a.values, (dxi / TWO_PI) ** d,
                            reg + shift + modal + nl, fine)
 
-    x = grid.axis_x
-    zeta = _fine_dual_axis(grid)
-    cstr = alg.structure_constants
+    x, zeta = grid.axis_x, _fine_dual_axis(grid)
 
-    if d == 1:
-        ktensor = np.zeros((N, N), dtype=complex)
-        up = _upsample2(b, [0])
-        for r in range(-half, half):
-            js = np.arange(max(0, r), min(N, N + r))
-            ktensor[js, js - r] = up[2 * js - r, r + half]
-        return ktensor
-
-    # the position spectrum with every regular axis's ramp at odd differences
+    # the position spectrum over N^d, each ramped axis's ramp at odd differences
     spec = centered_dft(b, range(d), inverse=False)
     del b
-    reg_ramps = _parity_ramps(grid, N, half)
-    for pos, ax in enumerate(reg):
+    spec /= N ** d
+    for ax in ramped:
         shape = [1] * spec.ndim
-        shape[ax], shape[d + pos] = N, N
-        spec *= reg_ramps.reshape(shape)
-    ramp = _half_step_ramp(grid)
+        shape[ax], shape[d + reg.index(ax)] = N, N
+        spec *= _parity_ramps(grid, N, half).reshape(shape)
     ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
-    # broadcasting per-axis index vectors; axis q is set per pair
+    # broadcasting per-axis index vectors; axis q is set per block of pairs
     rest = [i for i in range(d) if i != q]
     m = d - 1
     axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
     jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
     krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
-    # uhalf spans the whole layout, so every gather has the full pair shape
-    uhalf = tuple(np.broadcast_to((jrest[ax] + krest[ax]) // 2, (N,) * (2 * m))
-                  for ax in rest if ax in lin)
-    parity = sum(((jrest[c] + krest[c]) % 2) << bit for bit, c in enumerate(par) if c != q)
+    # the midpoint index: j + k on an upsampled axis, (j + k) // 2 on a ramped one
+    umid = {ax: (jrest[ax] + krest[ax]) // (1 if ax in up else 2) for ax in rest if ax in lin}
     ridx, rmask = [], np.ones((N,) * (2 * m), dtype=bool)
     for ax in rest:
         if ax in reg:
@@ -530,7 +532,7 @@ def _kernel_structured(ctx, a):
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
                  for c in modal]
 
-    # a slab's parity table: the d positions, then the w block
+    # a slab table: the d positions, then the w block
     w_axis = {ax: d + pos for pos, ax in enumerate(reg[1:] + shift + modal + nl)}
     shift_axes = [w_axis[c] for c in shift]
 
@@ -539,7 +541,7 @@ def _kernel_structured(ctx, a):
         shape[axis] = v.size
         return v.reshape(shape)
 
-    # on a parity table regular axis i has difference r_i h and midpoint
+    # on a slab table regular axis i has difference r_i h and midpoint
     # (u_i - N/2) h, plus h / 2 at odd r_i; on axis q, r_i is the slab's r
     diff = {i: along(np.arange(N) - half, w_axis[i]) for i in reg[1:]}
     mid = {i: along(x, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
@@ -548,82 +550,67 @@ def _kernel_structured(ctx, a):
                for c in shift]
     w_fine = (np.arange(2 * N) - N) * h
 
-    def shift_factors(r):
-        """exp(-i zeta S_c) / N^d over the shiftable axes' doubled modes, and
-        the mask |r_c h - S_c| < 2L over their r_c + N axes, for slab r."""
+    def shift_offsets(r):
+        """S_c over the slab table's axes for slab r, per shiftable axis c."""
         dr = {**diff, q: r}
         mr = {**mid, q: along(x, q) + (r % 2) * (h / 2)}
-        phase, keep = 1.0 / N ** d, True
-        for c, terms in zip(shift, s_terms):
-            s = sum(coef * dr[i] * mr[j] for coef, i, j in terms)
-            phase = phase * np.exp(-1j * (along(zeta, w_axis[c]) * s))
-            keep = keep & (np.abs(along(w_fine, w_axis[c]) - s) < 2 * L)
-        return phase, keep
+        return [sum(coef * dr[i] * mr[j] for coef, i, j in terms) for terms in s_terms]
 
-    def slab_tables(r):
-        sl = spec if r is None else np.take(spec, r + half, axis=d)
-        shape = list(sl.shape)
-        for ax in shift_axes:
-            shape[ax] *= 2
-        tables = np.empty((npar,) + tuple(shape), dtype=complex)
-        if shift:
-            phase, keep = shift_factors(r)
-        for p in range(npar):
-            t = sl
-            for bit, c in enumerate(par):
-                if p >> bit & 1:
-                    t = t * ramp.reshape((N,) + (1,) * (sl.ndim - 1 - c))
-            t = centered_dft(t, lin, inverse=True)
-            if not shift:
-                np.divide(t, N ** d, out=tables[p])
-                continue
-            t = _fine_spectrum(t, shift_axes)
-            t *= phase
-            t = centered_dft(t, shift_axes, inverse=True)
-            np.multiply(t, keep, out=tables[p])
+    def slab_table(r):
+        t = spec if r is None else np.take(spec, r + half, axis=d)
+        if ramped:
+            t = centered_dft(t, ramped, inverse=True)
+        offsets = shift_offsets(r) if shift else []
+        t = _fine_spectrum(t, shift_axes)
+        for c, s in zip(shift, offsets):
+            t *= np.exp(-1j * (along(zeta, w_axis[c]) * s))
+        if up:
+            # padded first, to free the unpadded table; shift is within up
+            t = _pad_centred(t, up)
+            t = centered_dft(t, up + shift_axes, inverse=True)
+        for c, s in zip(shift, offsets):
+            t *= np.abs(along(w_fine, w_axis[c]) - s) < 2 * L
         # the nonlinear position axes stay spectral, behind the w block
-        return np.moveaxis(tables, [1 + c for c in nl], range(-len(nl), 0))
+        return np.moveaxis(t, nl, range(-len(nl), 0))
 
-    def do_pairs(tables, qpairs):
-        for j_q, k_q in qpairs:
-            val = tables
-            if q in lin:
-                val = np.take(val, (j_q + k_q) // 2, axis=1 + lin.index(q))
-            p_idx = parity + (((j_q + k_q) % 2) << par.index(q) if q in par else 0)
-            val = val[(p_idx,) + uhalf + tuple(ridx)]
-            y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
-            z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
-            phases, keep = [fn(y_idx, z_idx) for fn in phase_fns], rmask
-            if nl:
-                Y, Z = (np.stack(np.broadcast_arrays(*(x[i] for i in idx)), axis=-1)
-                        for idx in (y_idx, z_idx))
-                W = lie_core.bch(alg, Y, -Z)
-                M = -lie_core.psi_map(alg, W, -Y)
-                phases += ([np.exp(1j * (W[..., c, None] * zeta)) for c in nl]
-                           + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
-                keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L, axis=-1)
-                        & np.all(np.abs(M[..., nl]) <= L, axis=-1))
-            idx = [slice(None)] * (2 * d)
-            idx[q], idx[d + q] = j_q, k_q
-            ktensor[tuple(idx)] = np.where(keep, _contract_modes(val, phases), 0.0)
+    def do_pairs(table, jq, kq):
+        lead = (jq.size,) + (1,) * (2 * m)
+        y_idx = [jq.reshape(lead) if ax == q else jrest[ax] for ax in range(d)]
+        z_idx = [kq.reshape(lead) if ax == q else krest[ax] for ax in range(d)]
+        uq = (jq + kq).reshape(lead) // (1 if q in up else 2)
+        val = table[tuple(uq if ax == q else umid[ax] for ax in lin) + tuple(ridx)]
+        phases, keep = [fn(y_idx, z_idx) for fn in phase_fns], rmask
+        if nl:
+            Y, Z = (np.stack(np.broadcast_arrays(*(x[i] for i in idx)), axis=-1)
+                    for idx in (y_idx, z_idx))
+            W = lie_core.bch(alg, Y, -Z)
+            M = -lie_core.psi_map(alg, W, -Y)
+            phases += ([np.exp(1j * (W[..., c, None] * zeta)) for c in nl]
+                       + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
+            keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L, axis=-1)
+                    & np.all(np.abs(M[..., nl]) <= L, axis=-1))
+        idx = [slice(None)] * (2 * d)
+        idx[q], idx[d + q] = jq, kq
+        ktensor[tuple(idx)] = np.where(keep, _contract_modes(val, phases), 0.0)
 
-    # a worker per slab builds its tables; with no regular axis the one
-    # slab's tables are built once and the workers split its pairs; every
-    # pair writes its own block of the kernel
+    # a worker per slab builds its table and gathers its pairs; with no regular
+    # axis the workers split the one table's pair blocks; each pair writes its
+    # own block of the kernel
     if reg:
-        jobs = [(r, [(j, j - r) for j in range(max(0, r), min(N, N + r))])
-                for r in range(-half, half)]
-
-        def run(job):
-            do_pairs(slab_tables(job[0]), job[1])
+        def run(r):
+            table = slab_table(r)
+            js = np.arange(max(0, r), min(N, N + r))
+            for s in range(0, js.size, block):
+                do_pairs(table, js[s:s + block], js[s:s + block] - r)
     else:
-        qpairs = [(j, k) for j in range(N) for k in range(N)]
-        jobs = [qpairs[i::ctx.threads] for i in range(ctx.threads)]
-        run = partial(do_pairs, slab_tables(None))
-    if ctx.threads > 1:
+        table = slab_table(None)
+
+        def run(flat):
+            do_pairs(table, flat // N, flat % N)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, jobs))
     else:
         for job in jobs:
@@ -700,9 +687,10 @@ def _symbol_interp(ctx, M):
 def _symbol_twostep_adjoint(ctx, M):
     """Invert the class <= 1 quantization by running its chain backwards.
 
-    The forward map reads a half-step midpoint table at the parity cells
-    (j + l, j - l), with the derived difference coordinates living on the
-    doubled window |w| < 2L and shifted per cell by the bracket term.
+    The forward map reads the symbol's partial transform at half-step
+    midpoints (j + l) h / 2 and differences j - l, with the derived
+    difference coordinates living on the doubled window |w| < 2L and
+    shifted per cell by the bracket term.
     Gathering the kernel into that table at midpoint index (j + l) // 2,
     undoing the half-step shifts on the position spectrum (the projection
     of the twice-upsampled table onto its centred band, which kills the
@@ -712,12 +700,18 @@ def _symbol_twostep_adjoint(ctx, M):
     tail-level for symbols that decay inside the box. Every difference
     axis here, the doubled derived ones too, is indexed by the integer
     j - l, which fixes the parity of j + l, so one table of N^d midpoints
-    carries all of them.
+    carries all of them. Only bracket shifts that read regular coordinates
+    are undone: NotShiftable unless every derived axis is `_shiftable_axes`.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
     half = N // 2
     der = _derived_axes(alg)
+    # a bracket term that reads a derived axis scales it; no shift undoes it
+    stuck = ", ".join(f"x{c + 1}" for c in der if c not in _shiftable_axes(alg))
+    if stuck:
+        raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but the "
+                           f"brackets on {stuck} read derived axes; use a basis adapted to [g, g]")
     K = M.reshape((N,) * (2 * d))
     wsize = tuple(2 * N if i in der else N for i in range(d))
     offset = [N if i in der else half for i in range(d)]

@@ -12,11 +12,14 @@ every pair. `centered_dft_rolled` is the textbook centred transform that
 the library's copy-light one must match bit for bit, and
 `eval_words_einsum` the dense ad-matrix contraction that the library's
 sparse bracket program must match bit for bit on sparse bases.
-`midpoint_table_to_symbol_folded` inverts the class <= 1 midpoint table
-the long way round: per derived axis a 2N-point transform, the bracket
-shift, a 2N-point inverse and a fold of the doubled window onto |w| < L,
-then N-point transforms; the library reads the same values off the even
-modes of one 2N-point transform.
+`kernel_twostep_upsampled` upsamples every position axis of a slab with
+its own `upsample2` (spectral zero padding one axis at a time), where the
+library upsamples only the derived axes and shifts the regular ones by
+half a step. `midpoint_table_to_symbol_folded` inverts the class <= 1
+midpoint table the long way round: per derived axis a 2N-point transform,
+the bracket shift, a 2N-point inverse and a fold of the doubled window onto
+|w| < L, then N-point transforms; the library reads the same values off
+the even modes of one 2N-point transform.
 """
 
 from math import ceil
@@ -131,14 +134,32 @@ def kernel_general_dense(ctx, a, rows=None):
     return K * alpha_matrix_dense(ctx, rows)
 
 
+def upsample2(values, axes):
+    """Refine the grid by 2 along the given axes via spectral zero-padding.
+
+    Returns samples of the trigonometric interpolant at half-step points:
+    output index u corresponds to (u - N) h / 2 when the input index j
+    corresponds to (j - N/2) h. Exact at the original nodes (u = 2j).
+    """
+    out = values
+    for ax in axes:
+        n = out.shape[ax]
+        spec = wl.centered_dft(out, [ax], inverse=False)
+        pad = [(0, 0)] * out.ndim
+        pad[ax] = (n // 2, n // 2)
+        out = wl.centered_dft(np.pad(spec, pad), [ax], inverse=True)
+        out /= n
+    return out
+
+
 def kernel_twostep_upsampled(ctx, a):
     """The dealphaed class <= 1 kernel for d >= 2 through 2x upsampling.
 
     Per slab of constant j_q - k_q, every position axis of the symbol's
     partial transform is refined to the half-step grid by spectral zero
     padding (a 2N-point inverse transform), and the kernel reads the fine
-    table at u = j + k. The library reads the same values from N-point
-    half-step shifts instead.
+    table at u = j + k. The library upsamples only the derived axes and
+    reads the regular ones through N-point half-step shifts instead.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -181,7 +202,7 @@ def kernel_twostep_upsampled(ctx, a):
     for r in range(-half, half):
         slab = np.take(b, r + half, axis=d)
         for ch in chunks:
-            up = wl._upsample2(slab[..., ch], range(d))
+            up = upsample2(slab[..., ch], range(d))
             for j_q in range(max(0, r), min(N, N + r)):
                 k_q = j_q - r
                 val = np.take(up, j_q + k_q, axis=q)[ufine + ridx]

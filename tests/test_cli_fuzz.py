@@ -33,7 +33,8 @@ HEIS_INLINE = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}
 HEIS_SKEW_INLINE = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [-1, -1, 1]},
                                            {"i": 1, "j": 3, "coeffs": [-1, -1, 1]},
                                            {"i": 2, "j": 3, "coeffs": [1, 1, -1]}]}
-SUITES = ["fourier", "unitarity", "gauge", "abelian-baseline", "derivative-check"]
+SUITES = ["fourier", "unitarity", "gauge", "abelian-baseline", "moyal-crosscheck",
+          "derivative-check"]
 
 
 @st.composite
