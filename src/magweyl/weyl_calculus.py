@@ -627,28 +627,45 @@ def kernel_from_symbol(ctx, a):
     return IntegralKernel(ctx.grid, _kernel_structured(ctx, a) * _alpha_matrix(ctx))
 
 
-def _multilinear(tensor, frac_idx):
-    """Multilinear interpolation at fractional indices, zero outside the grid."""
-    nd = tensor.ndim
-    pts = frac_idx.reshape(-1, nd)
-    out = np.zeros(pts.shape[0], dtype=tensor.dtype)
+def _multilinear(tensor, parts, step, origin):
+    """Multilinear interpolation at fractional indices, zero outside the grid.
+
+    The last axes of the arrays in parts, joined, hold the tensor.ndim
+    coordinates of each point; the fractional index on an axis is
+    coordinate / step + origin. Per block of points each axis gives its two
+    corner weights, 1 - t and t, each zeroed where that corner is off the
+    grid, and its two clipped indices; tensor.ndim Kronecker steps expand
+    them to all 2^nd corners, axis i as bit i of the corner index, with the
+    weights multiplied in axis order. One gather reads every corner's value
+    and the corners are summed in index order, so the values are those of a
+    loop over the corners, bit for bit. A block holds about _PAIR_BUDGET / 8
+    corner entries.
+    """
+    cols = [q.reshape(-1, q.shape[-1]) for q in parts]
+    npts = cols[0].shape[0]
     shape = np.array(tensor.shape)
-    block = max(1, int(2e7 / nd))
-    for start in range(0, pts.shape[0], block):
-        p = pts[start:start + block]
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+    out = np.zeros(npts, dtype=tensor.dtype)
+    block = max(1, (_PAIR_BUDGET // 8) >> tensor.ndim)
+    for start in range(0, npts, block):
+        p = (np.concatenate([q[start:start + block] for q in cols], axis=1) / step + origin).T
         base = np.floor(p).astype(int)
         t = p - base
-        acc = np.zeros(p.shape[0], dtype=tensor.dtype)
-        for corner in range(1 << nd):
-            offs = np.array([(corner >> i) & 1 for i in range(nd)])
-            idx = base + offs
-            ok = np.all((idx >= 0) & (idx < shape), axis=1)
-            w = np.prod(np.where(offs, t, 1.0 - t), axis=1)
-            vals = np.zeros(p.shape[0], dtype=tensor.dtype)
-            vals[ok] = tensor[tuple(idx[ok].T)]
-            acc += w * vals
-        out[start:start + block] = acc
-    return out.reshape(frac_idx.shape[:-1])
+        # the lower and upper corner of every point on every axis: (2, nd, points)
+        ends = np.stack([base, base + 1])
+        wt = np.where((ends >= 0) & (ends < shape[:, None]), np.stack([1.0 - t, t]), 0.0)
+        ix = np.clip(ends, 0, shape[:, None] - 1) * strides[:, None]
+        w, idx = wt[:, 0], ix[:, 0]
+        for i in range(1, tensor.ndim):
+            w = (wt[:, None, i] * w).reshape(-1, t.shape[1])
+            idx = (ix[:, None, i] + idx).reshape(-1, t.shape[1])
+        vals = tensor.take(idx)
+        vals *= w
+        # added to zeros, as the loop's sum starts at +0
+        out[start:start + block] += np.add.accumulate(vals, axis=0, out=vals)[-1]
+        # one corner block alive at a time
+        del w, idx, vals
+    return out.reshape(parts[0].shape[:-1])
 
 
 def _sigma_inverse(ctx, V, W):
@@ -660,15 +677,24 @@ def _sigma_inverse(ctx, V, W):
 
 
 def _symbol_interp(ctx, M):
-    """Inversion via interpolation of the dealphaed kernel at midpoint pairs."""
+    """Invert the quantization of class >= 2 by interpolating the kernel.
+
+    For every grid pair (V, W), _sigma_inverse gives the pair (Y, Z) with
+    group midpoint V and difference Y*(-Z) = W; the dealphaed kernel is read
+    there by multilinear interpolation (zero off the grid, every corner of a
+    block of pairs in one gather) and transformed over W. Linear across each
+    cell of an oscillating kernel, so coarse. The pairs run in blocks of
+    about _PAIR_BUDGET: rows of V by all of W.
+    """
     grid = ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     n = N ** d
     block = max(1, _PAIR_BUDGET // n)
-    # G and its transform's two copies; per pair of a block, Y, Z and frac
-    # (4 d floats) and at most 16 d floats of group-law or interpolation
-    # temporaries
-    _check_work_bytes(48 * n * n + 160 * d * min(block, n) * n)
+    # G and its transform's two copies; per pair of a block the group law's
+    # peak, 13 d floats with Y and Z, and the interpolated value; and one
+    # corner block of _multilinear, at most 48 bytes per corner entry
+    corners = max(1 << 2 * d, _PAIR_BUDGET // 8)
+    _check_work_bytes(48 * n * n + (104 * d + 16) * min(block, n) * n + 48 * corners)
     pts = _grid_points(ctx)
     tensor = M.reshape((N,) * (2 * d))
     G = np.empty((n, n), dtype=complex)
@@ -677,8 +703,7 @@ def _symbol_interp(ctx, M):
         V = np.broadcast_to(pts[start:start + block, None, :], (nb, n, d))
         W = np.broadcast_to(pts[None, :, :], (nb, n, d))
         Y, Z = _sigma_inverse(ctx, V, W)
-        frac = np.concatenate([Y, Z], axis=-1) / h + N // 2
-        G[start:start + block] = _multilinear(tensor, frac)
+        G[start:start + block] = _multilinear(tensor, (Y, Z), h, N // 2)
     G = centered_dft(G.reshape((N,) * (2 * d)), range(d, 2 * d), inverse=False)
     G *= h ** d
     return G

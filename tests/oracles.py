@@ -19,7 +19,10 @@ half a step. `midpoint_table_to_symbol_folded` inverts the class <= 1
 midpoint table the long way round: per derived axis a 2N-point transform,
 the bracket shift, a 2N-point inverse and a fold of the doubled window onto
 |w| < L, then N-point transforms; the library reads the same values off
-the even modes of one 2N-point transform.
+the even modes of one 2N-point transform. `multilinear_corner_loop` is
+the interpolating inverse's corner sum as it was first written, one masked
+pass per corner of the cell, 2^nd of them; the library gathers every corner
+at once and must match it bit for bit.
 """
 
 from math import ceil
@@ -302,6 +305,30 @@ def midpoint_table_to_symbol_folded(ctx, bbar):
     out = wl.centered_dft(bbar, range(d, 2 * d), inverse=False)
     out *= h ** d
     return out
+
+
+def multilinear_corner_loop(tensor, frac_idx):
+    """Multilinear interpolation at fractional indices, zero outside the grid."""
+    nd = tensor.ndim
+    pts = frac_idx.reshape(-1, nd)
+    out = np.zeros(pts.shape[0], dtype=tensor.dtype)
+    shape = np.array(tensor.shape)
+    block = max(1, int(2e7 / nd))
+    for start in range(0, pts.shape[0], block):
+        p = pts[start:start + block]
+        base = np.floor(p).astype(int)
+        t = p - base
+        acc = np.zeros(p.shape[0], dtype=tensor.dtype)
+        for corner in range(1 << nd):
+            offs = np.array([(corner >> i) & 1 for i in range(nd)])
+            idx = base + offs
+            ok = np.all((idx >= 0) & (idx < shape), axis=1)
+            w = np.prod(np.where(offs, t, 1.0 - t), axis=1)
+            vals = np.zeros(p.shape[0], dtype=tensor.dtype)
+            vals[ok] = tensor[tuple(idx[ok].T)]
+            acc += w * vals
+        out[start:start + block] = acc
+    return out.reshape(frac_idx.shape[:-1])
 
 
 def alpha_exponent_dense(ctx, rows=None):

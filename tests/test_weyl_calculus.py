@@ -556,6 +556,32 @@ class TestDenseOracles:
         assert np.count_nonzero(want) and not np.all(want)
         assert np.abs(got - want).max() <= 1e-13
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (4, 2, 3), (2, 3, 2, 4, 2, 3, 2, 2)],
+                             ids=["nd1", "nd2", "nd3", "nd8"])
+    def test_corner_gather_matches_corner_loop(self, shape):
+        nd = len(shape)
+        rng = np.random.default_rng([47, nd])
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # three rows of a block and a point each: four blocks
+        rows = (wl._PAIR_BUDGET // 8 >> nd) + 1
+        n = np.array(shape)
+        u = rng.random((3, rows, nd))
+        # per axis a cell inside the grid, a node (t = 0), the boundary
+        # cells (base -1 and n - 1), and cells wholly off the grid on
+        # either side (base <= -2 and base >= n)
+        cells = [u * (n - 1), np.floor(u * n), u - 1, n - 1 + u, -2 - 3 * u, n + 3 * u]
+        kind = rng.choice(len(cells), size=u.shape, p=[0.4, 0.2, 0.1, 0.1, 0.1, 0.1])
+        frac = np.choose(kind, cells)
+        # the library reads coordinates: index = x / step + origin
+        step, origin = 0.25, 3
+        x = (frac - origin) * step
+        parts = (x,) if nd == 1 else (x[..., :nd // 2], x[..., nd // 2:])
+        got = wl._multilinear(tensor, parts, step, origin)
+        want = oracles.multilinear_corner_loop(tensor, x / step + origin)
+        assert got.shape == (3, rows)
+        assert np.count_nonzero(want == 0) and np.count_nonzero(want)
+        assert np.array_equal(got, want)
+
 
 class ExpCounter:
     """Stands in for a module's numpy: counts the entries passed to np.exp."""
@@ -745,8 +771,9 @@ class TestWorkBudget:
         assert np.array_equal(wl._kernel_structured(ctx[4], a), K1)
         assert estimates == [two]
 
-    def test_interpolating_inverse_peak_within_its_estimate(self, monkeypatch):
-        fctx = filiform_ctx(4)
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_interpolating_inverse_peak_within_its_estimate(self, N, monkeypatch):
+        fctx = filiform_ctx(N)
         fK = wl._kernel_structured(fctx, filiform_symbol(fctx.grid))
         peak, estimates = self.peak_and_estimates(monkeypatch,
                                                   lambda: wl._symbol_interp(fctx, fK))
