@@ -200,12 +200,12 @@ def _boxed_widths(grid):
     return sx, 1.0 / sx
 
 
-def _check_symbol_size(grid):
-    """Refuse a phase-space grid whose complex samples exceed the work budget."""
-    nbytes = 16 * grid.points_per_axis ** (2 * grid.dim)
+def _check_field_size(grid, kind, axes):
+    """Refuse a grid whose complex samples on `axes` axes exceed the work budget."""
+    nbytes = 16 * grid.points_per_axis ** axes
     if nbytes > wl._MAX_WORK_BYTES:
         raise ConfigError(
-            f"a symbol on N = {grid.points_per_axis} points per axis in dimension "
+            f"a {kind} on N = {grid.points_per_axis} points per axis in dimension "
             f"{grid.dim} needs {nbytes:.3g} bytes, above the work budget of "
             f"{wl._MAX_WORK_BYTES:.3g}")
 
@@ -213,7 +213,7 @@ def _check_symbol_size(grid):
 def _symbol_from_spec(spec, grid):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("symbol spec must be an object with a 'kind'")
-    _check_symbol_size(grid)
+    _check_field_size(grid, "symbol", 2 * grid.dim)
     kind = spec["kind"]
     d = grid.dim
     if kind == "zero":
@@ -352,7 +352,7 @@ def verify_algebra_checks(cfg, seed):
 # ---------------------------------------------------------------- run suites
 
 def _random_symbol(grid, rng):
-    _check_symbol_size(grid)
+    _check_field_size(grid, "symbol", 2 * grid.dim)
     d = grid.dim
     sx, sxi = _boxed_widths(grid)
     span = grid.box_half_width / 3.0
@@ -550,6 +550,7 @@ def _suite_moyal(cfg, ctx, rng):
 def derivative_gaps(ctx, P0):
     """The magnetic derivative check of the unit Gaussian at P0 with
     tau = 1e-3, by check name."""
+    _check_field_size(ctx.grid, "config field", ctx.grid.dim)
     f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1) / 2), ctx.grid)
     return {r["check"]: r["value"]
             for r in wl.magnetic_derivative_check(ctx, P0, f, tau=1e-3)}

@@ -349,27 +349,22 @@ def _check_work_bytes(nbytes):
             "reduce N or the dimension")
 
 
-def _half_step_ramp(grid):
-    """exp(i xi_k h / 2) on the centred band xi_k = (k - N/2) dxi.
+def _parity_ramps(grid):
+    """exp(i xi_k h / 2) at odd differences and 1 at even ones, (N, N).
 
-    Multiplying the N-point spectrum of samples by it and transforming back
-    gives the trigonometric interpolant half a step on, at (s - N/2) h + h/2:
-    the odd outputs of 2x spectral zero padding (`_pad_centred` and a
-    2N-point inverse transform), whose even outputs are the samples
-    themselves.
+    Rows run over the centred band xi_k = (k - N/2) dxi, columns over the
+    differences w = r - N/2 of an N-point window. Multiplying the N-point
+    spectrum of samples by the ramp and transforming back gives the
+    trigonometric interpolant half a step on, at (s - N/2) h + h/2: the odd
+    outputs of 2x spectral zero padding (`_pad_centred` and a 2N-point
+    inverse transform), whose even outputs are the samples themselves. A
+    kernel pair (j, l) has midpoint index u = j + l and difference w = j - l
+    of the same parity, so on an axis where the difference is an index this
+    selects the shift per entry.
     """
-    return np.exp(0.5j * grid.h * grid.axis_xi)
-
-
-def _parity_ramps(grid, wsize, offset):
-    """The half-step ramp at odd differences and 1 at even ones, (N, wsize).
-
-    A kernel pair (j, l) has midpoint index u = j + l and difference
-    w = j - l (difference index minus offset) of the same parity, so on an
-    axis where the difference is an index this selects the shift per entry.
-    """
-    odd = (np.arange(wsize) - offset) % 2 == 1
-    return np.where(odd[None, :], _half_step_ramp(grid)[:, None], 1.0)
+    N = grid.points_per_axis
+    odd = (np.arange(N) - N // 2) % 2 == 1
+    return np.where(odd[None, :], np.exp(0.5j * grid.h * grid.axis_xi)[:, None], 1.0)
 
 
 def _nonlinear_axes(alg):
@@ -507,7 +502,7 @@ def _kernel_structured(ctx, a):
     for ax in ramped:
         shape = [1] * spec.ndim
         shape[ax], shape[d + reg.index(ax)] = N, N
-        spec *= _parity_ramps(grid, N, half).reshape(shape)
+        spec *= _parity_ramps(grid).reshape(shape)
     ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
@@ -715,54 +710,64 @@ def _symbol_twostep_adjoint(ctx, M):
     The forward map reads the symbol's partial transform at half-step
     midpoints (j + l) h / 2 and differences j - l, with the derived
     difference coordinates living on the doubled window |w| < 2L and
-    shifted per cell by the bracket term.
-    Gathering the kernel into that table at midpoint index (j + l) // 2,
-    undoing the half-step shifts on the position spectrum (the projection
-    of the twice-upsampled table onto its centred band, which kills the
-    parity alias exactly), and undoing the bracket shifts on the spectrum
-    of each doubled window, whose even modes are the symbol's, recovers
-    the symbol. Exact up to band truncation at the box corners, so
-    tail-level for symbols that decay inside the box. Every difference
-    axis here, the doubled derived ones too, is indexed by the integer
-    j - l, which fixes the parity of j + l, so one table of N^d midpoints
-    carries all of them. Only bracket shifts that read regular coordinates
-    are undone: NotShiftable unless every derived axis is `_shiftable_axes`.
+    shifted per cell by the bracket term. Gathering the kernel into a table
+    at midpoint index (j + l) // 2 and difference w = j - l on the N-point
+    window |w| < L, undoing the half-step shifts on the position spectrum
+    (the projection of the twice-upsampled table onto its centred band,
+    which kills the parity alias exactly), and undoing the bracket shifts
+    on the difference spectrum (`_midpoint_table_to_symbol`) recovers the
+    symbol. On a derived axis the gather also adds the pair with
+    j - l = w -+ N to the cell: the doubled window folded mod N. N is even,
+    so the alias has the parity of w, the same midpoint index and the same
+    half-step ramp, and every axis shares the one window: the table has
+    N^{2d} entries. Exact up to band truncation at the box corners, so
+    tail-level for symbols that decay inside the box. Only bracket shifts
+    that read regular coordinates are undone: NotShiftable unless every
+    derived axis is `_shiftable_axes`. M is dropped after the first gather
+    step, so a caller that hands it over (as `symbol_from_kernel` does)
+    frees it there.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
-    half = N // 2
     der = _derived_axes(alg)
     # a bracket term that reads a derived axis scales it; no shift undoes it
     stuck = ", ".join(f"x{c + 1}" for c in der if c not in _shiftable_axes(alg))
     if stuck:
         raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but the "
                            f"brackets on {stuck} read derived axes; use a basis adapted to [g, g]")
-    K = M.reshape((N,) * (2 * d))
-    wsize = tuple(2 * N if i in der else N for i in range(d))
-    offset = [N if i in der else half for i in range(d)]
-    # the table and its position spectrum
-    _check_work_bytes(32 * N ** d * int(np.prod(wsize)))
+    # three kernel-sized tables at the peak of each stage (a gather step's
+    # input and output, then a transform's input and its two copies), alpha
+    # once the context caches it, and 64 kB of small tables
+    _check_work_bytes(16 * N ** (2 * d) * (3 + ("alpha" in ctx._cache)) + (1 << 16))
 
-    # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), j - l = w:
-    # per axis an (s, w) index pair, zero where j or l leaves the grid
-    src_j, src_l, ok = [], [], True
+    # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), one axis pair
+    # at a time: the pairs with j - l = r are a diagonal of the (j, l) plane,
+    # j from max(r, 0), and land in column w = r, or on a derived axis in
+    # column r folded mod N
+    half = N // 2
+
+    def gather(table, i):
+        out = np.zeros_like(table)
+        for r in range(1 - N, N) if i in der else range(-half, half):
+            s0 = max(r, 0) - (r + r % 2) // 2
+            cell = [slice(None)] * (2 * d)
+            cell[i], cell[d + i] = slice(s0, s0 + N - abs(r)), (r + half) % N
+            out[tuple(cell)] += np.moveaxis(np.diagonal(table, -r, i, d + i), -1, i)
+        return out
+
+    table = M.reshape((N,) * (2 * d))
+    del M
     for i in range(d):
-        shape = [1] * (2 * d)
-        shape[i], shape[d + i] = N, wsize[i]
-        w = np.arange(wsize[i]) - offset[i]
-        j = np.arange(N)[:, None] + (w + w % 2)[None, :] // 2
-        l = j - w[None, :]
-        ok = ok & ((j >= 0) & (j < N) & (l >= 0) & (l < N)).reshape(shape)
-        src_j.append(np.clip(j, 0, N - 1).reshape(shape))
-        src_l.append(np.clip(l, 0, N - 1).reshape(shape))
-    table = np.where(ok, K[tuple(src_j + src_l)], 0.0)
+        table = gather(table, i)
 
+    # the position round trip; each table is dropped once its transform returns
     spec = centered_dft(table, range(d), inverse=False)
+    del table
+    ramps = np.conj(_parity_ramps(grid))
     for i in range(d):
-        shape = [1] * (2 * d)
-        shape[i], shape[d + i] = N, wsize[i]
-        spec *= np.conj(_parity_ramps(grid, wsize[i], offset[i])).reshape(shape)
+        spec *= ramps.reshape([N if k in (i, d + i) else 1 for k in range(2 * d)])
     table = centered_dft(spec, range(d), inverse=True)
+    del spec
     table /= N ** d
     return _midpoint_table_to_symbol(ctx, table)
 
@@ -770,38 +775,30 @@ def _symbol_twostep_adjoint(ctx, M):
 def _midpoint_table_to_symbol(ctx, bbar):
     """The symbol from its partial transform b(m, w) on the difference windows.
 
-    bbar has axes (m..., w...), doubled windows on the derived axes. There
-    it holds b at w_c = (r - N) h + s_c(m, w), s_c = [m, W]_c / 2 over the
-    regular coordinates, so its 2N-point spectrum times exp(-i zeta s_c)
-    is that of the plain doubled window; the N-point transform of that
-    window folded onto |w| < L is its even modes (frequency sampling). So
-    each difference axis is transformed once: 2N points on the derived
-    axes, of which the even modes are kept, N points on the regular ones.
+    bbar has axes (m..., w...), each w on the N-point window |w| < L, and
+    is overwritten. On a derived axis c it holds the doubled window
+    |w| < 2L folded mod N (the adjoint folds it at the gather), with
+    entries at w_c = r h + s_c(m, w), s_c = [m, W]_c / 2 over the regular
+    coordinates. The N-point spectrum of the folded window is the even
+    modes of the doubled window's 2N-point spectrum (frequency sampling), so
+    times exp(-i xi s_c) it is that of the unshifted window folded onto
+    |w| < L. Each difference axis is transformed once, on N points.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     der = _derived_axes(alg)
     reg = [i for i in range(d) if i not in der]
-    out = bbar
+    cstr = alg.structure_constants
+    x, xi = grid.axis_x, grid.axis_xi
     if der:
-        out = centered_dft(bbar, [d + c for c in der], inverse=False)
-        even = [slice(None)] * (2 * d)
-        for c in der:
-            even[d + c] = slice(None, None, 2)
-        out = out[tuple(even)]
-        x, zeta = grid.axis_x, _fine_dual_axis(grid)[::2]
-        cstr = alg.structure_constants
-        for c in der:
-            s = 0.0
-            for i in reg:
-                for j in reg:
-                    if cstr[i, j, c] != 0.0:
-                        mi = x.reshape((N,) + (1,) * (2 * d - 1 - i))
-                        wj = x.reshape((N,) + (1,) * (d - 1 - j))
-                        s = s + 0.5 * cstr[i, j, c] * mi * wj
-            out = out * np.exp(-1j * zeta.reshape((-1,) + (1,) * (d - 1 - c)) * s)
-    if reg:
-        out = centered_dft(out, [d + i for i in reg], inverse=False)
+        bbar[...] = centered_dft(bbar, [d + c for c in der], inverse=False)
+    for c in der:
+        # exp(-i xi s_c), s_c = [m, W]_c / 2 over the regular coordinates
+        bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(
+            0.5 * cstr[i, j, c] * x.reshape((N,) + (1,) * (2 * d - 1 - i))
+            * x.reshape((N,) + (1,) * (d - 1 - j))
+            for i, j in zip(*np.nonzero(cstr[:, :, c])) if i in reg and j in reg))
+    out = centered_dft(bbar, [d + i for i in reg], inverse=False) if reg else bbar
     out *= h ** d
     return out
 
@@ -812,12 +809,9 @@ def symbol_from_kernel(ctx, K):
         raise ShapeError("symbol_from_kernel expects an integral kernel")
     if K.grid != ctx.grid:
         raise ShapeError("kernel grid does not match the context grid")
-    M = np.conj(_alpha_matrix(ctx)) * K.values
-    if ctx.algebra.nilpotency_class <= 1:
-        vals = _symbol_twostep_adjoint(ctx, M)
-    else:
-        vals = _symbol_interp(ctx, M)
-    return SymbolField(ctx.grid, vals)
+    invert = _symbol_twostep_adjoint if ctx.algebra.nilpotency_class <= 1 else _symbol_interp
+    # conj(alpha) K is handed over, not kept, so the adjoint can free it early
+    return SymbolField(ctx.grid, invert(ctx, np.conj(_alpha_matrix(ctx)) * K.values))
 
 
 def apply_operator(K, f):

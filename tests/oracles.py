@@ -18,8 +18,9 @@ library upsamples only the derived axes and shifts the regular ones by
 half a step. `midpoint_table_to_symbol_folded` inverts the class <= 1
 midpoint table the long way round: per derived axis a 2N-point transform,
 the bracket shift, a 2N-point inverse and a fold of the doubled window onto
-|w| < L, then N-point transforms; the library reads the same values off
-the even modes of one 2N-point transform. `multilinear_corner_loop` is
+|w| < L, then N-point transforms; the library folds the doubled window mod
+N at its gather and reads the same values off one N-point transform per
+difference axis. `multilinear_corner_loop` is
 the interpolating inverse's corner sum as it was first written, one masked
 pass per corner of the cell, 2^nd of them; the library gathers every corner
 at once and must match it bit for bit.

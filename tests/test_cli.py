@@ -259,6 +259,17 @@ class TestGridBudget:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("N", [1 << 40, 4096])
+    def test_derivative_check_suite(self, tmp_path, capsys, N):
+        # the check samples a config field, 16 N^d bytes: 8 TiB and 512 GiB here
+        cfg = write_config(tmp_path, algebra="heisenberg:3", grid={"N": N, "L": 4.0})
+        out = tmp_path / "o"
+        assert run("suite", "--config", cfg, "--out", str(out),
+                   "--suites", "derivative-check") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+        assert not (out / "report.json").exists()
+
 
 class TestSuiteCommand:
     def test_report_bytes_reproducible_across_threads(self, tmp_path, capsys):
