@@ -39,6 +39,8 @@ from .errors import (
 PIVOT_TOL = 1e-10
 JACOBI_TOL = 1e-12
 MAX_CLASS = 6
+# entries of one batch of pairs or points, the unit of every blocked loop
+_PAIR_BUDGET = 1 << 17
 
 
 @dataclass(eq=False)
@@ -279,6 +281,26 @@ def _eval_words(alg, words, X, Y):
     return np.ascontiguousarray(out.T).reshape(shape)
 
 
+def _eval_words_floats(alg, words):
+    """Floats per point that _eval_words holds at its peak on a word list.
+
+    The two letters' coordinate rows, one value per word suffix of two or
+    more letters, the accumulator and the result (d rows each), and both
+    letters' ad entries (one per column of the bracket program).
+    """
+    suffixes = {letters[pos:] for _, letters in words for pos in range(len(letters) - 1)}
+    entries = sum(len(row) for row in _bracket_program(alg))
+    return alg.dim * (4 + len(suffixes)) + 2 * entries
+
+
+def _group_law_floats(alg):
+    """Floats per point that bch or right_translation_differential hold at
+    their peak, the inputs aside (an upper bound)."""
+    n = alg.nilpotency_class
+    return max(_eval_words_floats(alg, _dynkin_words(n + 1)),
+               _eval_words_floats(alg, _dynkin_words_linear(n + 1)))
+
+
 def bch(alg, X, Y):
     """The group product X * Y in exponential coordinates.
 
@@ -321,20 +343,48 @@ def gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _nodes_per_call(n, npoints):
+    """The nodes of an n-node rule that gauss_sum evaluates in one call."""
+    return min(n, max(1, (_PAIR_BUDGET // 8) // max(1, npoints)))
+
+
+def gauss_sum(integrand, n, shape):
+    """sum_i w_i integrand(s_i) over the n-node Gauss-Legendre rule on [0, 1].
+
+    The integrand is evaluated at points of the given broadcast shape (the
+    coordinate axis aside). It takes the nodes s as an array of shape
+    (k, 1, ..., 1), a leading node axis in front of len(shape) + 1 axes, and
+    returns its values on that leading axis. The nodes go k at a time, as
+    many as keep k x prod(shape) within _PAIR_BUDGET // 8 points (one corner
+    block of the interpolating inverse) and at least one, so no batch
+    outgrows a one-node call on a pair block. The weighted sum runs node by
+    node in node order, so the value is the node loop's bit for bit.
+    """
+    nodes, weights = gauss01(n)
+    nodes = nodes.reshape((-1,) + (1,) * (len(shape) + 1))
+    step = _nodes_per_call(n, int(np.prod(shape)))
+    total = 0.0
+    for start in range(0, len(nodes), step):
+        values = integrand(nodes[start:start + step])
+        for w, v in zip(weights[start:start + step], values):
+            total = total + w * v
+        # freed before the next batch is evaluated, as the node loop's were
+        del values, v
+    return total
+
+
 def psi_map(alg, V, Y):
     """The averaged right translation Y -> integral of Y * (sV) over s in [0, 1].
 
     The integrand is polynomial in s of degree at most class + 1, so the
-    fixed Gauss-Legendre rule is exact.
+    fixed Gauss-Legendre rule is exact; its nodes share one group-law call
+    (`gauss_sum`).
     """
     n = alg.nilpotency_class
-    nodes, weights = gauss01(ceil((n + 2) / 2))
     V = np.asarray(V, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    out = 0.0
-    for s, w in zip(nodes, weights):
-        out = out + w * bch(alg, Y, s * V)
-    return out
+    return gauss_sum(lambda s: bch(alg, Y, s * V), ceil((n + 2) / 2),
+                     np.broadcast_shapes(V.shape, Y.shape)[:-1])
 
 
 def _quotient_cached(alg):

@@ -52,29 +52,59 @@ def _table_monomials(table):
     return exps, coeffs
 
 
+def _power_table(pts, kmax):
+    """powers[p, i, k] = pts[p, i] ** k for k <= kmax, by repeated products."""
+    powers = np.ones(pts.shape + (kmax + 1,))
+    for k in range(1, kmax + 1):
+        powers[:, :, k] = powers[:, :, k - 1] * pts
+    return powers
+
+
+def _monomial_terms(powers, exps):
+    """terms[p, t] = prod_i powers[p, i, exps[t, i]], C-contiguous."""
+    terms = np.ones((powers.shape[0], exps.shape[0]))
+    for i in range(exps.shape[1]):
+        terms *= powers[:, i, exps[:, i]]
+    return terms
+
+
+def _eval_monomials(monomials, X, chunk=1 << 16):
+    """Polynomials given as (exps, coeffs) pairs on a stack of point sets.
+
+    X has shape (sets, ..., d); the result (sets, ..., len(monomials)).
+    Each set is evaluated as a call on it alone would be, bit for bit: in
+    chunks of `chunk` points, each polynomial's chunk sum one matrix-vector
+    product over a C-contiguous term table (BLAS groups the rows, so the
+    row count of a product matters). Sets smaller than a chunk share one
+    power table per chunk's worth of points, and every polynomial reads it.
+    """
+    sets = X.reshape(X.shape[0], -1, X.shape[-1])
+    n = sets.shape[1]
+    out = np.zeros(sets.shape[:2] + (len(monomials),))
+    kmax = max((int(exps.max()) for exps, coeffs in monomials if len(coeffs)), default=None)
+    if kmax is None:
+        return out.reshape(X.shape[:-1] + (len(monomials),))
+    rows = max(1, min(n, chunk))
+    group = max(1, chunk // max(1, n))
+    for s0 in range(0, sets.shape[0], group):
+        for r0 in range(0, n, rows):
+            pts = sets[s0:s0 + group, r0:r0 + rows]
+            powers = _power_table(pts.reshape(-1, pts.shape[-1]), kmax)
+            for i, (exps, coeffs) in enumerate(monomials):
+                if len(coeffs):
+                    out[s0:s0 + group, r0:r0 + rows, i] = (
+                        _monomial_terms(powers, exps).reshape(pts.shape[:2] + (-1,)) @ coeffs)
+    return out.reshape(X.shape[:-1] + (len(monomials),))
+
+
 def polynomial_eval(table, X, chunk=1 << 16):
     """Evaluate a dense-table polynomial at points X of shape (..., d)."""
     X = np.asarray(X, dtype=float)
     d = X.shape[-1]
     if table.ndim != d:
         raise ShapeError(f"table has {table.ndim} axes, points have dimension {d}")
-    exps, coeffs = _table_monomials(table)
-    lead = X.shape[:-1]
-    out = np.zeros(int(np.prod(lead, dtype=int)) if lead else 1)
-    if len(coeffs) == 0:
-        return out.reshape(lead) if lead else 0.0
-    flat = X.reshape(-1, d)
-    kmax = int(exps.max())
-    for start in range(0, flat.shape[0], chunk):
-        pts = flat[start:start + chunk]
-        powers = np.ones((pts.shape[0], d, kmax + 1))
-        for k in range(1, kmax + 1):
-            powers[:, :, k] = powers[:, :, k - 1] * pts
-        terms = np.ones((pts.shape[0], len(coeffs)))
-        for i in range(d):
-            terms *= powers[:, i, exps[:, i]]
-        out[start:start + chunk] = terms @ coeffs
-    return out.reshape(lead) if lead else float(out[0])
+    out = _eval_monomials((_table_monomials(table),), X[None], chunk)[0, ..., 0]
+    return out if out.ndim else float(out)
 
 
 def polynomial_derivative(table, axis):
@@ -107,6 +137,7 @@ class MagneticPotential:
     tables: tuple
     degree: int
     _grad: tuple = field(default=None, repr=False)
+    _monomials: tuple = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -137,9 +168,20 @@ def make_potential(algebra, coefficient_tables):
     return MagneticPotential(algebra, tuple(tables), degree)
 
 
+def _monomials(A):
+    """Each component's (exps, coeffs), compiled once per potential."""
+    if A._monomials is None:
+        A._monomials = tuple(_table_monomials(t) for t in A.tables)
+    return A._monomials
+
+
 def evaluate_potential(A, X):
-    """A_X as a covector, shape (..., d)."""
-    return np.stack([polynomial_eval(t, X) for t in A.tables], axis=-1)
+    """A_X as a covector, shape (..., d).
+
+    The components' monomials are compiled once per potential, and the d
+    components share each power table (`_eval_monomials`).
+    """
+    return _eval_monomials(_monomials(A), np.asarray(X, dtype=float)[None])[0]
 
 
 def _gradient_tables(A):
@@ -216,6 +258,13 @@ def pairing_AR(A, Y, X):
     return np.einsum('...i,...i->...', evaluate_potential(A, Y), R)
 
 
+def _pairing_at_nodes(A, Y, X):
+    """pairing_AR on each Y[i] of a leading node axis in one pass, bit for
+    bit the per-node calls."""
+    R = lie_core.right_translation_differential(A.algebra, Y, X)
+    return np.einsum('...i,...i->...', _eval_monomials(_monomials(A), Y), R)
+
+
 def theta0_eval(A, X, xi, Y):
     """<xi, Y> + <A_Y, (R_Y)'_0 X>: the phase generator of the representation."""
     xi = np.asarray(xi, dtype=float)
@@ -256,18 +305,40 @@ def alpha_exponent(A, Y, Z):
     Line integral of the potential along gamma(s) = (s (Z*(-Y))) * Y paired
     with the right-translation differential of Y*(-Z); Gauss-Legendre with a
     node count covering the polynomial degree of the integrand, so the value
-    is exact to round-off. Batched over leading axes of Y and Z.
+    is exact to round-off. Batched over leading axes of Y and Z; on few
+    points the nodes share one group-law call and one pairing
+    (`lie_core.gauss_sum`).
     """
     alg = A.algebra
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     W = lie_core.bch(alg, Z, -Y)
-    nodes, weights = lie_core.gauss01(_alpha_nodes(A))
-    phase = 0.0
-    for s, w in zip(nodes, weights):
+
+    def integrand(s):
         gamma = lie_core.bch(alg, s * W, Y)
-        phase = phase + w * pairing_AR(A, gamma, -W)
-    return phase
+        return _pairing_at_nodes(A, gamma, -W)
+
+    return lie_core.gauss_sum(integrand, _alpha_nodes(A), W.shape[:-1])
+
+
+def _alpha_exponent_bytes(A, points):
+    """Bytes alpha_exponent allocates at its peak on `points` points.
+
+    Per point W, -Y and the phase sum; per point of a batch of nodes
+    (`lie_core.gauss_sum`) s W or -W, gamma, R, A(gamma), the pairing and
+    its weighted copy, plus the group law's own peak
+    (`lie_core._group_law_floats`); per point of a chunk of the potential
+    (at most 65536) its power table, one component's term table and the
+    gathered factor. An upper bound, counted in floats, plus 64 kB of
+    small arrays.
+    """
+    alg = A.algebra
+    d = alg.dim
+    terms = max(len(coeffs) for exps, coeffs in _monomials(A))
+    kmax = max((int(exps.max()) for exps, coeffs in _monomials(A) if len(coeffs)), default=0)
+    batch = points * lie_core._nodes_per_call(_alpha_nodes(A), points)
+    return 8 * (points * (2 * d + 1) + batch * (4 * d + 2 + lie_core._group_law_floats(alg))
+                + min(batch, 1 << 16) * (d * (kmax + 1) + 2 * terms)) + (1 << 16)
 
 
 def alpha_phase(A, Y, Z):

@@ -37,10 +37,10 @@ import numpy as np
 
 from . import lie_core, magnetic
 from .errors import NotShiftable, ShapeError, WrongClass
+from .lie_core import _PAIR_BUDGET
 from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
 
 TWO_PI = 2.0 * np.pi
-_PAIR_BUDGET = 1 << 17
 _MAX_WORK_BYTES = 1.2e9
 
 
@@ -108,7 +108,8 @@ def _grid_pair_values(grid, fn, degree, y_axes=None, z_axes=None):
     on the tensor sub-grid of m = min(N, degree + 1) grid nodes per axis,
     (m^d)^2 pairs in _PAIR_BUDGET blocks, and expanded to every pair by
     per-axis Lagrange interpolation, which is exact for such fn up to
-    round-off. With m = N the Lagrange matrix is the identity, so every
+    round-off. With m = N the Lagrange matrices would be identities, so the
+    evaluated block is returned as it is (or its sub-grid read off): every
     value is fn's own, bit for bit.
 
     y_axes and z_axes, lists of d grid-index arrays, restrict Y and Z to
@@ -128,23 +129,52 @@ def _grid_pair_values(grid, fn, degree, y_axes=None, z_axes=None):
     full = [np.arange(N)] * d
     subsets = ((full if y_axes is None else list(y_axes))
                + (full if z_axes is None else list(z_axes)))
+    ny = int(np.prod([v.size for v in subsets[:d]]))
+    if m == N:
+        if y_axes is not None or z_axes is not None:
+            vals = vals.reshape((N,) * (2 * d))[np.ix_(*subsets)]
+        return vals.reshape(ny, -1)
     out = vals.reshape((m,) * (2 * d))
     # contract the leading axis and append the expanded one: after 2d steps
     # the axes are back in (Y axes..., Z axes...) order
     for sub in subsets:
         out = np.tensordot(out, _lagrange_matrix(grid.axis_x[sub], nodes), axes=([0], [1]))
-    ny = int(np.prod([v.size for v in subsets[:d]]))
     return out.reshape(ny, -1)
 
 
 def _alpha_matrix(ctx):
-    """alpha(Y, Z) on all grid pairs, shape (N^d, N^d). Cached."""
+    """alpha(Y, Z) on all grid pairs, shape (N^d, N^d). Cached.
+
+    exp(i e) is formed in one complex table, so the build peaks at 1.5
+    tables after the exponent's own (`_alpha_bytes`).
+    """
     if "alpha" not in ctx._cache:
         A = ctx.potential
         e = _grid_pair_values(ctx.grid, partial(magnetic.alpha_exponent, A),
                               magnetic.alpha_degree(A))
-        ctx._cache["alpha"] = np.exp(1j * e)
+        alpha = np.multiply(1j, e, out=np.empty(e.shape, dtype=complex))
+        del e
+        ctx._cache["alpha"] = np.exp(alpha, out=alpha)
     return ctx._cache["alpha"]
+
+
+def _alpha_bytes(ctx):
+    """Peak bytes of building alpha (`_alpha_matrix`); 0 once it is cached.
+
+    The exponent's (m^d)^2 node-pair values and either the quadrature on one
+    block of node pairs (`magnetic._alpha_exponent_bytes`) or the last
+    Lagrange step (its input, the input's transposed copy and its output,
+    in floats); then the exponent and alpha, 1.5 kernel-sized tables.
+    """
+    if "alpha" in ctx._cache:
+        return 0
+    grid, A = ctx.grid, ctx.potential
+    d, N = grid.dim, grid.points_per_axis
+    m = min(N, magnetic.alpha_degree(A) + 1)
+    n, n2 = m ** d, N ** (2 * d)
+    pairs = min(n, max(1, _PAIR_BUDGET // n)) * n
+    expand = 0 if m == N else 8 * (2 * N ** (2 * d - 1) * m + n2)
+    return max(8 * n * n + max(magnetic._alpha_exponent_bytes(A, pairs), expand), 24 * n2)
 
 
 def _derived_axes(alg):
@@ -332,11 +362,13 @@ def pi_action(ctx, X, xi, f):
     alg, A = ctx.algebra, ctx.potential
     pts = _grid_points(ctx)
     vals = _trig_eval(f, lie_core.bch(alg, -X, pts))
-    nodes, weights = lie_core.gauss01(magnetic._alpha_nodes(A))
-    phase = 0.0
-    for s, w in zip(nodes, weights):
+
+    def integrand(s):
+        # theta0_eval at W_s, on a leading node axis
         ws = lie_core.bch(alg, -s * X, pts)
-        phase = phase + w * magnetic.theta0_eval(A, X, xi, ws)
+        return np.einsum('...i,...i->...', xi, ws) + magnetic._pairing_at_nodes(A, ws, X)
+
+    phase = lie_core.gauss_sum(integrand, magnetic._alpha_nodes(A), pts.shape[:-1])
     n = ctx.grid.points_per_axis
     out = np.exp(1j * phase) * vals
     return ConfigField(ctx.grid, out.reshape((n,) * ctx.grid.dim))
@@ -403,7 +435,10 @@ def _kernel_structured(ctx, a):
     2N difference modes are summed against the group law's midpoint and
     difference on every pair, masked where |m| > L or |w| >= 2L.
     Assembly runs in slabs of constant j - k along the first regular axis
-    q. The midpoint index j + k of a regular axis has the parity of its
+    q, and consecutive slabs are built as one table, the slab an axis of it,
+    as many as fit _PAIR_BUDGET entries (every slab of a one-dimensional
+    group or of filiform3:4 at N = 2, one slab of Heisenberg:3 at N = 8).
+    The midpoint index j + k of a regular axis has the parity of its
     difference, so the position spectrum carries that axis's half-step ramp
     once per call and the slab table is read at (j + k) // 2. A derived
     axis off the nonlinear ones takes both parities, so each slab pads its
@@ -421,7 +456,8 @@ def _kernel_structured(ctx, a):
     no axis is shiftable, q is derived, and one slab over all (j_q, k_q)
     keeps its whole mode axis. Pairs are gathered in blocks of about
     _PAIR_BUDGET entries, by as many workers as ctx.threads and the work
-    budget allow.
+    budget allow. The budget check also counts the alpha build that
+    kernel_from_symbol runs beside the returned kernel.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -445,12 +481,17 @@ def _kernel_structured(ctx, a):
     q = (reg or der)[0]
 
     # a slab's (j_q, k_q) pairs are gathered `block` at a time; a job is a
-    # slab, or with no regular axis a block of the one slab's pairs
+    # batch of consecutive slabs whose tables fit one _PAIR_BUDGET-entry
+    # table, or with no regular axis a block of the one slab's pairs
     n2 = N ** (2 * d)
     layout = N ** (2 * d - 2)
     gathered = layout * (2 * N) ** len(modal) * (2 * N * N) ** len(nl)
     block = max(1, _PAIR_BUDGET // gathered)
-    jobs = (list(range(-half, half)) if reg
+    bsize = n2 << len(fine)
+    # the entries of one slab's table, and of a job's
+    table = (bsize // N if reg else bsize) << (len(shift) + len(up))
+    batch = min(N, max(1, _PAIR_BUDGET // table)) if reg else 1
+    jobs = ([np.arange(r, min(r + batch, half)) for r in range(-half, half, batch)] if reg
             else [np.arange(s, min(s + block, N * N)) for s in range(0, N * N, block)])
 
     # complex entries alive at the peak of each stage, the input aside:
@@ -458,28 +499,30 @@ def _kernel_structured(ctx, a):
     #   axes one at a time (input, padded, its two copies, and b);
     # - the position spectrum: b and its two copies;
     # - the slabs: the spectrum, the kernel, the index vectors, the modal
-    #   phase tables ((N, N, 2N) per term), and per worker a slab table
-    #   being built (its last transform's input and two copies) or a built
-    #   table and a block of pairs (the gathered entries, their first
-    #   contraction, and per pair the output, its mask, 2 x 2N layouts per
-    #   modal axis and 6N + 4d per nonlinear one); with no regular axis the
-    #   one table is built before the workers run
-    # plus 64 kB of small tables
-    bsize = n2 << len(fine)
-    table = (bsize // N if reg else bsize) << (len(shift) + len(up))
+    #   phase tables ((N, N, 2N) per term), and per worker a job's table
+    #   (`batch` slabs) being built (its last transform's input and two
+    #   copies) or a built table and a block of pairs (the gathered entries,
+    #   their first contraction, and per pair the output, its mask, 2 x 2N
+    #   layouts per modal axis and 6N + 4d per nonlinear one); with no
+    #   regular axis the one table is built before the workers run;
+    # plus 64 kB of small tables; then, as kernel_from_symbol goes on, the
+    # kernel beside alpha's build (`_alpha_bytes`), counted here so that one
+    # estimate covers that whole call before anything is allocated
+    tab = batch * table
+    alpha = _alpha_bytes(ctx)
     phase_tables = 2 * N ** 3 * sum(np.count_nonzero(cstr[:, :, c]) + 2 for c in modal)
-    pairs = min(block, N if reg else N * N) * (
+    pairs = min(block, batch * N if reg else N * N) * (
         gathered + (gathered // (2 * N) if modal + nl else 0)
         + layout * (2 + 4 * N * len(modal) + (6 * N + 4 * d) * len(nl)))
 
     def work_bytes(workers):
-        slabs = (workers * (table + max(2 * table, pairs)) if reg
-                 else max(3 * table, table + workers * pairs))
+        slabs = (workers * (tab + max(2 * tab, pairs)) if reg
+                 else max(3 * tab, tab + workers * pairs))
         stages = (2 * n2 + (3.5 * bsize + n2 if fine else 0),
                   3 * bsize,
                   bsize + n2 + (len(lin) + len(reg) + len(shift)) * layout + phase_tables
                   + slabs)
-        return 16 * max(stages) + (1 << 16)
+        return max(16 * max(stages) + (1 << 16), 16 * n2 + alpha)
 
     # the most workers that fit the budget; refuse when one does not
     workers = min(ctx.threads, len(jobs))
@@ -527,12 +570,13 @@ def _kernel_structured(ctx, a):
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
                  for c in modal]
 
-    # a slab table: the d positions, then the w block
-    w_axis = {ax: d + pos for pos, ax in enumerate(reg[1:] + shift + modal + nl)}
+    # a job's table: the d positions, then the w block, whose first axis
+    # runs over the job's slabs r (with no regular axis, over w_q's modes)
+    w_axis = {ax: d + pos for pos, ax in enumerate(reg + shift + modal + nl)}
     shift_axes = [w_axis[c] for c in shift]
 
     def along(v, axis):
-        shape = [1] * (2 * d - 1)
+        shape = [1] * (2 * d)
         shape[axis] = v.size
         return v.reshape(shape)
 
@@ -545,17 +589,18 @@ def _kernel_structured(ctx, a):
                for c in shift]
     w_fine = (np.arange(2 * N) - N) * h
 
-    def shift_offsets(r):
-        """S_c over the slab table's axes for slab r, per shiftable axis c."""
+    def shift_offsets(rs):
+        """S_c over the job table's axes for the slabs rs, per shiftable axis c."""
+        r = along(rs, d)
         dr = {**diff, q: r}
         mr = {**mid, q: along(x, q) + (r % 2) * (h / 2)}
         return [sum(coef * dr[i] * mr[j] for coef, i, j in terms) for terms in s_terms]
 
-    def slab_table(r):
-        t = spec if r is None else np.take(spec, r + half, axis=d)
+    def slab_table(rs):
+        t = spec if rs is None else np.take(spec, rs + half, axis=d)
         if ramped:
             t = centered_dft(t, ramped, inverse=True)
-        offsets = shift_offsets(r) if shift else []
+        offsets = shift_offsets(rs) if shift else []
         t = _fine_spectrum(t, shift_axes)
         for c, s in zip(shift, offsets):
             t *= np.exp(-1j * (along(zeta, w_axis[c]) * s))
@@ -568,12 +613,15 @@ def _kernel_structured(ctx, a):
         # the nonlinear position axes stay spectral, behind the w block
         return np.moveaxis(t, nl, range(-len(nl), 0))
 
-    def do_pairs(table, jq, kq):
+    def do_pairs(table, jq, kq, slab):
+        """Gather the pairs (jq, kq), slab the index of their slab in the
+        job's table (None with no regular axis), into the kernel."""
         lead = (jq.size,) + (1,) * (2 * m)
         y_idx = [jq.reshape(lead) if ax == q else jrest[ax] for ax in range(d)]
         z_idx = [kq.reshape(lead) if ax == q else krest[ax] for ax in range(d)]
         uq = (jq + kq).reshape(lead) // (1 if q in up else 2)
-        val = table[tuple(uq if ax == q else umid[ax] for ax in lin) + tuple(ridx)]
+        val = table[tuple(uq if ax == q else umid[ax] for ax in lin)
+                    + (() if slab is None else (slab.reshape(lead),)) + tuple(ridx)]
         phases, keep = [fn(y_idx, z_idx) for fn in phase_fns], rmask
         if nl:
             Y, Z = (np.stack(np.broadcast_arrays(*(x[i] for i in idx)), axis=-1)
@@ -588,20 +636,23 @@ def _kernel_structured(ctx, a):
         idx[q], idx[d + q] = jq, kq
         ktensor[tuple(idx)] = np.where(keep, _contract_modes(val, phases), 0.0)
 
-    # a worker per slab builds its table and gathers its pairs; with no regular
+    # a worker per job builds its table and gathers its pairs; with no regular
     # axis the workers split the one table's pair blocks; each pair writes its
     # own block of the kernel
     if reg:
-        def run(r):
-            table = slab_table(r)
-            js = np.arange(max(0, r), min(N, N + r))
-            for s in range(0, js.size, block):
-                do_pairs(table, js[s:s + block], js[s:s + block] - r)
+        def run(rs):
+            table = slab_table(rs)
+            # slab by slab, j_q from max(0, r) to min(N, N + r) and k_q = j_q - r
+            js = np.arange(N)
+            slab, jq = np.nonzero((js >= rs[:, None]) & (js < N + rs[:, None]))
+            kq = jq - rs[slab]
+            for s in range(0, jq.size, block):
+                do_pairs(table, jq[s:s + block], kq[s:s + block], slab[s:s + block])
     else:
         table = slab_table(None)
 
         def run(flat):
-            do_pairs(table, flat // N, flat % N)
+            do_pairs(table, flat // N, flat % N, None)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -614,12 +665,19 @@ def _kernel_structured(ctx, a):
 
 
 def kernel_from_symbol(ctx, a):
-    """The integral kernel of the operator quantizing the symbol a."""
+    """The integral kernel of the operator quantizing the symbol a.
+
+    The assembly's estimate covers the whole call, alpha's build beside the
+    assembled kernel included, and is checked before anything is allocated;
+    the kernel is multiplied by alpha in place.
+    """
     if not isinstance(a, SymbolField):
         raise ShapeError("kernel_from_symbol expects a phase-space symbol field")
     if a.grid != ctx.grid:
         raise ShapeError("symbol grid does not match the context grid")
-    return IntegralKernel(ctx.grid, _kernel_structured(ctx, a) * _alpha_matrix(ctx))
+    K = _kernel_structured(ctx, a)
+    K *= _alpha_matrix(ctx)
+    return IntegralKernel(ctx.grid, K)
 
 
 def _multilinear(tensor, parts, step, origin):
@@ -656,8 +714,11 @@ def _multilinear(tensor, parts, step, origin):
             idx = (ix[:, None, i] + idx).reshape(-1, t.shape[1])
         vals = tensor.take(idx)
         vals *= w
-        # added to zeros, as the loop's sum starts at +0
-        out[start:start + block] += np.add.accumulate(vals, axis=0, out=vals)[-1]
+        # added to zeros, as the loop's sum starts at +0; over a C-contiguous
+        # (corners, points) block the reduce adds row by row, but on one
+        # point it would take numpy's pairwise sum
+        out[start:start + block] += (np.add.reduce(vals, axis=0) if vals.shape[1] > 1
+                                     else np.add.accumulate(vals, axis=0)[-1])
         # one corner block alive at a time
         del w, idx, vals
     return out.reshape(parts[0].shape[:-1])
@@ -671,7 +732,24 @@ def _sigma_inverse(ctx, V, W):
     return Y, Z
 
 
+def _interp_bytes(grid):
+    """Working memory of `_interp_inverse`, its input aside: G and its
+    transform's two copies; per pair of a block the group law's peak, 13 d
+    floats with Y and Z, and the interpolated value; and one corner block of
+    _multilinear, at most 48 bytes per corner entry."""
+    d, N = grid.dim, grid.points_per_axis
+    n = N ** d
+    corners = max(1 << 2 * d, _PAIR_BUDGET // 8)
+    return 48 * n * n + (104 * d + 16) * min(max(1, _PAIR_BUDGET // n), n) * n + 48 * corners
+
+
 def _symbol_interp(ctx, M):
+    """`_interp_inverse` behind its budget check."""
+    _check_work_bytes(_interp_bytes(ctx.grid))
+    return _interp_inverse(ctx, M)
+
+
+def _interp_inverse(ctx, M):
     """Invert the quantization of class >= 2 by interpolating the kernel.
 
     For every grid pair (V, W), _sigma_inverse gives the pair (Y, Z) with
@@ -685,11 +763,6 @@ def _symbol_interp(ctx, M):
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     n = N ** d
     block = max(1, _PAIR_BUDGET // n)
-    # G and its transform's two copies; per pair of a block the group law's
-    # peak, 13 d floats with Y and Z, and the interpolated value; and one
-    # corner block of _multilinear, at most 48 bytes per corner entry
-    corners = max(1 << 2 * d, _PAIR_BUDGET // 8)
-    _check_work_bytes(48 * n * n + (104 * d + 16) * min(block, n) * n + 48 * corners)
     pts = _grid_points(ctx)
     tensor = M.reshape((N,) * (2 * d))
     G = np.empty((n, n), dtype=complex)
@@ -704,7 +777,32 @@ def _symbol_interp(ctx, M):
     return G
 
 
+def _check_shiftable(alg):
+    """NotShiftable unless every derived axis is `_shiftable_axes`."""
+    # a bracket term that reads a derived axis scales it; no shift undoes it
+    stuck = ", ".join(f"x{c + 1}" for c in _derived_axes(alg) if c not in _shiftable_axes(alg))
+    if stuck:
+        raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but the "
+                           f"brackets on {stuck} read derived axes; use a basis adapted to [g, g]")
+
+
+def _adjoint_bytes(grid):
+    """Working memory of `_twostep_adjoint`, its input handed over: three
+    kernel-sized tables at the peak of each stage (a gather step's input and
+    output, then a transform's input and its two copies) and 64 kB of small
+    tables."""
+    return 48 * grid.points_per_axis ** (2 * grid.dim) + (1 << 16)
+
+
 def _symbol_twostep_adjoint(ctx, M):
+    """`_twostep_adjoint` behind its checks: NotShiftable, and the budget
+    with alpha counted once the context caches it."""
+    _check_shiftable(ctx.algebra)
+    _check_work_bytes(_adjoint_bytes(ctx.grid) + 16 * M.size * ("alpha" in ctx._cache))
+    return _twostep_adjoint(ctx, M)
+
+
+def _twostep_adjoint(ctx, M):
     """Invert the class <= 1 quantization by running its chain backwards.
 
     The forward map reads the symbol's partial transform at half-step
@@ -722,23 +820,14 @@ def _symbol_twostep_adjoint(ctx, M):
     half-step ramp, and every axis shares the one window: the table has
     N^{2d} entries. Exact up to band truncation at the box corners, so
     tail-level for symbols that decay inside the box. Only bracket shifts
-    that read regular coordinates are undone: NotShiftable unless every
-    derived axis is `_shiftable_axes`. M is dropped after the first gather
-    step, so a caller that hands it over (as `symbol_from_kernel` does)
-    frees it there.
+    that read regular coordinates are undone, so every derived axis must be
+    `_shiftable_axes` (callers run `_check_shiftable` first). M is dropped
+    after the first gather step, so a caller that hands it over (as
+    `symbol_from_kernel` does) frees it there.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
     der = _derived_axes(alg)
-    # a bracket term that reads a derived axis scales it; no shift undoes it
-    stuck = ", ".join(f"x{c + 1}" for c in der if c not in _shiftable_axes(alg))
-    if stuck:
-        raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but the "
-                           f"brackets on {stuck} read derived axes; use a basis adapted to [g, g]")
-    # three kernel-sized tables at the peak of each stage (a gather step's
-    # input and output, then a transform's input and its two copies), alpha
-    # once the context caches it, and 64 kB of small tables
-    _check_work_bytes(16 * N ** (2 * d) * (3 + ("alpha" in ctx._cache)) + (1 << 16))
 
     # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), one axis pair
     # at a time: the pairs with j - l = r are a diagonal of the (j, l) plane,
@@ -804,12 +893,24 @@ def _midpoint_table_to_symbol(ctx, bbar):
 
 
 def symbol_from_kernel(ctx, K):
-    """Invert the quantization map: recover the symbol of a kernel."""
+    """Invert the quantization map: recover the symbol of a kernel.
+
+    One estimate covers the whole call and is checked before anything is
+    allocated: alpha's build (`_alpha_bytes`), then alpha beside the
+    dealphaed kernel conj(alpha) K and the inverse it is handed to (which
+    outweighs the three tables of forming conj(alpha) K).
+    """
     if not isinstance(K, IntegralKernel):
         raise ShapeError("symbol_from_kernel expects an integral kernel")
     if K.grid != ctx.grid:
         raise ShapeError("kernel grid does not match the context grid")
-    invert = _symbol_twostep_adjoint if ctx.algebra.nilpotency_class <= 1 else _symbol_interp
+    table = 16 * K.values.size
+    if ctx.algebra.nilpotency_class <= 1:
+        _check_shiftable(ctx.algebra)
+        invert, beside = _twostep_adjoint, _adjoint_bytes(ctx.grid)
+    else:
+        invert, beside = _interp_inverse, table + _interp_bytes(ctx.grid)
+    _check_work_bytes(max(_alpha_bytes(ctx), table + beside))
     # conj(alpha) K is handed over, not kept, so the adjoint can free it early
     return SymbolField(ctx.grid, invert(ctx, np.conj(_alpha_matrix(ctx)) * K.values))
 

@@ -13,17 +13,22 @@ the library's copy-light one must match bit for bit, and
 `eval_words_einsum` the dense ad-matrix contraction that the library's
 sparse bracket program must match bit for bit on sparse bases.
 `kernel_twostep_upsampled` upsamples every position axis of a slab with
-its own `upsample2` (spectral zero padding one axis at a time), where the
-library upsamples only the derived axes and shifts the regular ones by
-half a step. `midpoint_table_to_symbol_folded` inverts the class <= 1
-midpoint table the long way round: per derived axis a 2N-point transform,
+`upsample2`'s spectral zero padding, applied as a (2N, N) matrix one axis
+at a time, where the library upsamples only the derived axes and shifts
+the regular ones by half a step. `midpoint_table_to_symbol_folded` inverts
+the class <= 1 midpoint table the long way round: per derived axis a 2N-point transform,
 the bracket shift, a 2N-point inverse and a fold of the doubled window onto
 |w| < L, then N-point transforms; the library folds the doubled window mod
 N at its gather and reads the same values off one N-point transform per
 difference axis. `multilinear_corner_loop` is
 the interpolating inverse's corner sum as it was first written, one masked
 pass per corner of the cell, 2^nd of them; the library gathers every corner
-at once and must match it bit for bit.
+at once and must match it bit for bit. `alpha_exponent_node_loop`,
+`psi_map_node_loop` and `pi_action_node_loop` run their Gauss-Legendre rules
+as first written, one group-law call per node, and
+`evaluate_potential_per_component` evaluates each component on its own; the
+library stacks the nodes of a rule on few points in one call, and its
+components share one power table, and must match them bit for bit.
 """
 
 from math import ceil
@@ -161,9 +166,11 @@ def kernel_twostep_upsampled(ctx, a):
 
     Per slab of constant j_q - k_q, every position axis of the symbol's
     partial transform is refined to the half-step grid by spectral zero
-    padding (a 2N-point inverse transform), and the kernel reads the fine
-    table at u = j + k. The library upsamples only the derived axes and
-    reads the regular ones through N-point half-step shifts instead.
+    padding (`upsample2` of the unit vectors, a (2N, N) matrix; on axis q
+    only its rows u = j_q + k_q that the slab reads), and the kernel reads
+    the fine table at u = j + k. The library upsamples only the derived
+    axes and reads the regular ones through N-point half-step shifts
+    instead.
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -200,16 +207,28 @@ def kernel_twostep_upsampled(ctx, a):
     phase_fns = [wl._derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
                  for c in der]
 
+    # spectral zero padding of one axis as a (2N, N) matrix: upsample2 of
+    # the unit vectors
+    refine = upsample2(np.eye(N, dtype=complex), [0])
     # the trailing mode axis is independent under the upsampling and summed
-    # by the contraction, so it is split in single modes to bound memory
-    chunks = [slice(k, k + 1) for k in range(2 * N)] if der else [slice(None)]
+    # by the contraction, so it is taken a few modes at a time: a pass
+    # refines at most 2^22 entries (64 MiB); one mode of a slab refines to
+    # its size times 2 on every axis but q
+    per_mode = b[..., :1].size // N * 2 ** (d - 1)
+    modes = max(1, (1 << 22) // per_mode)
+    chunks = [slice(k, k + modes) for k in range(0, 2 * N, modes)] if der else [slice(None)]
     for r in range(-half, half):
         slab = np.take(b, r + half, axis=d)
+        jq = np.arange(max(0, r), min(N, N + r))
         for ch in chunks:
-            up = upsample2(slab[..., ch], range(d))
-            for j_q in range(max(0, r), min(N, N + r)):
+            # every position axis refined, axis q only at the slab's u = j_q + k_q
+            up = slab[..., ch]
+            for ax in [q] + rest:
+                rows = refine[2 * jq - r] if ax == q else refine
+                up = np.moveaxis(np.tensordot(rows, up, axes=([1], [ax])), 0, ax)
+            for i, j_q in enumerate(jq):
                 k_q = j_q - r
-                val = np.take(up, j_q + k_q, axis=q)[ufine + ridx]
+                val = up[(slice(None),) * q + (i,)][ufine + ridx]
                 y_idx = [j_q if ax == q else jrest[ax] for ax in range(d)]
                 z_idx = [k_q if ax == q else krest[ax] for ax in range(d)]
                 phases = [fn(y_idx, z_idx) for fn in phase_fns]
@@ -227,8 +246,8 @@ def symbol_adjoint_upsampled(ctx, M):
 
     Scatters the kernel into the (2N)^d midpoint table at u = j + l, projects
     each midpoint axis onto its centred N band (2N-point forward transform,
-    crop, N-point inverse), then undoes the bracket shifts and folds the
-    doubled windows (`midpoint_table_to_symbol_folded`).
+    crop, N-point inverse, as one (N, 2N) matrix), then undoes the bracket
+    shifts and folds the doubled windows (`midpoint_table_to_symbol_folded`).
     """
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -253,15 +272,18 @@ def symbol_adjoint_upsampled(ctx, M):
     nw = int(np.prod(wsize))
     chunk = max(1, (1 << 20) // (2 * N) ** d)
     table = np.empty((N,) * d + (nw,), dtype=complex)
+    # the projection of one axis as an (N, 2N) matrix: its 2N-point forward
+    # transform, the crop to the centred N band and the N-point inverse,
+    # applied to the unit vectors
+    spec = wl.centered_dft(np.eye(2 * N, dtype=complex), [0], inverse=False)
+    project = wl.centered_dft(spec[N - half:N + half], [0], inverse=True) / N
     for start in range(0, nw, chunk):
         nb = min(chunk, nw - start)
         sel = (wflat >= start) & (wflat < start + nb)
         fine = np.zeros((2 * N,) * d + (nb,), dtype=complex)
         fine[tuple(u[sel] for u in ufine) + (wflat[sel] - start,)] = vals[sel]
         for ax in range(d):
-            spec = wl.centered_dft(fine, [ax], inverse=False)
-            crop = np.take(spec, np.arange(N - half, N + half), axis=ax)
-            fine = wl.centered_dft(crop, [ax], inverse=True) / N
+            fine = np.moveaxis(np.tensordot(project, fine, axes=([1], [ax])), 0, ax)
         table[..., start:start + nb] = fine
     return midpoint_table_to_symbol_folded(ctx, table.reshape((N,) * d + wsize))
 
@@ -451,3 +473,81 @@ def moyal_point_dense(ctx, a, b, X, xi):
         phase = np.exp(-1j * np.einsum('k,...k->...', xi, phase_vec))
         total += np.sum(beta[t0:t0 + nt] * At * Bt * phase)
     return complex(total * h ** (2 * d) / np.pi ** (2 * d))
+
+
+def polynomial_eval_loop(table, X, chunk=1 << 16):
+    """A dense-table polynomial at points X of shape (..., d), on its own."""
+    X = np.asarray(X, dtype=float)
+    d = X.shape[-1]
+    exps = np.argwhere(table != 0.0)
+    coeffs = table[tuple(exps.T)] if exps.size else np.zeros(0)
+    lead = X.shape[:-1]
+    out = np.zeros(int(np.prod(lead, dtype=int)) if lead else 1)
+    if len(coeffs) == 0:
+        return out.reshape(lead) if lead else 0.0
+    flat = X.reshape(-1, d)
+    kmax = int(exps.max())
+    for start in range(0, flat.shape[0], chunk):
+        pts = flat[start:start + chunk]
+        powers = np.ones((pts.shape[0], d, kmax + 1))
+        for k in range(1, kmax + 1):
+            powers[:, :, k] = powers[:, :, k - 1] * pts
+        terms = np.ones((pts.shape[0], len(coeffs)))
+        for i in range(d):
+            terms *= powers[:, i, exps[:, i]]
+        out[start:start + chunk] = terms @ coeffs
+    return out.reshape(lead) if lead else float(out[0])
+
+
+def evaluate_potential_per_component(A, X):
+    """A_X as a covector, shape (..., d): one polynomial evaluation per component."""
+    return np.stack([polynomial_eval_loop(t, X) for t in A.tables], axis=-1)
+
+
+def pairing_per_component(A, Y, X):
+    """<A_Y, (R_Y)'_0 X> with the potential evaluated component by component."""
+    R = lie_core.right_translation_differential(A.algebra, Y, X)
+    return np.einsum('...i,...i->...', evaluate_potential_per_component(A, Y), R)
+
+
+def alpha_exponent_node_loop(A, Y, Z):
+    """alpha's exponent with one group-law call and one pairing per node."""
+    alg = A.algebra
+    Y = np.asarray(Y, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    W = lie_core.bch(alg, Z, -Y)
+    nodes, weights = lie_core.gauss01(magnetic._alpha_nodes(A))
+    phase = 0.0
+    for s, w in zip(nodes, weights):
+        gamma = lie_core.bch(alg, s * W, Y)
+        phase = phase + w * pairing_per_component(A, gamma, -W)
+    return phase
+
+
+def psi_map_node_loop(alg, V, Y):
+    """The averaged right translation with one group-law call per node."""
+    n = alg.nilpotency_class
+    nodes, weights = lie_core.gauss01(ceil((n + 2) / 2))
+    V = np.asarray(V, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    out = 0.0
+    for s, w in zip(nodes, weights):
+        out = out + w * lie_core.bch(alg, Y, s * V)
+    return out
+
+
+def pi_action_node_loop(ctx, X, xi, f):
+    """The twisted representation with one group-law call per phase node."""
+    X = np.asarray(X, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    alg, A = ctx.algebra, ctx.potential
+    pts = wl._grid_points(ctx)
+    vals = wl._trig_eval(f, lie_core.bch(alg, -X, pts))
+    nodes, weights = lie_core.gauss01(magnetic._alpha_nodes(A))
+    phase = 0.0
+    for s, w in zip(nodes, weights):
+        ws = lie_core.bch(alg, -s * X, pts)
+        phase = phase + w * (np.einsum('...i,...i->...', xi, ws) + pairing_per_component(A, ws, X))
+    n = ctx.grid.points_per_axis
+    out = np.exp(1j * phase) * vals
+    return out.reshape((n,) * ctx.grid.dim)

@@ -587,6 +587,10 @@ class TestDenseOracles:
         assert got.shape == (3, rows)
         assert np.count_nonzero(want == 0) and np.count_nonzero(want)
         assert np.array_equal(got, want)
+        # a block and one point (a one-point final block), and a lone point
+        for n in (rows, 1):
+            part = tuple(p.reshape(-1, p.shape[-1])[:n] for p in parts)
+            assert np.array_equal(wl._multilinear(tensor, part, step, origin), want.ravel()[:n])
 
 
 class ExpCounter:
@@ -643,9 +647,11 @@ class TransformWork:
 
     def __init__(self):
         self.work = 0
+        self.calls = 0
 
     def __call__(self, values, axes, inverse=False):
         self.work += np.size(values) * len(axes)
+        self.calls += 1
         return sp.centered_dft(values, axes, inverse)
 
 
@@ -747,17 +753,20 @@ class TestWorkBudget:
         return peak, estimates
 
     @pytest.mark.parametrize("case", ["8", "12", "abelian1-N64", "two-derived-N4",
-                                      "heisenberg3-skew-N6", "filiform-N4"])
+                                      "heisenberg3-skew-N6", "filiform-N4", "filiform-N2"])
     def test_structured_assembly_peak_within_its_estimate(self, case, monkeypatch):
         # every assembly shape: Heisenberg:3 at N = 8 and 12 (slabs with a
         # shiftable axis), the one-dimensional group, two shiftable axes, no
-        # regular axis (modal axes, one slab), and a nonlinear axis
+        # regular axis (modal axes, one slab), and a nonlinear axis; the
+        # one-dimensional group and filiform3:4 at N = 2 build all their
+        # slabs as one table
         ctx = {"8": lambda: heis_ctx(8, 6.0),
                "12": lambda: heis_ctx(12, 6.0),
                "abelian1-N64": lambda: zero_ctx(AB1, 64, 6.0),
                "two-derived-N4": lambda: zero_ctx(DER2, 4, 3.0),
                "heisenberg3-skew-N6": lambda: zero_ctx(HEIS_SKEW, 6, 3.0),
-               "filiform-N4": lambda: filiform_ctx(4)}[case]()
+               "filiform-N4": lambda: filiform_ctx(4),
+               "filiform-N2": lambda: filiform_ctx(2)}[case]()
         a = boxed_gaussian(ctx.grid)
         peak, estimates = self.peak_and_estimates(monkeypatch,
                                                   lambda: wl._kernel_structured(ctx, a))
@@ -784,6 +793,40 @@ class TestWorkBudget:
         assert len(estimates) == 1
         assert peak <= estimates[0]
 
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_kernel_from_symbol_peak_within_its_estimate(self, N, monkeypatch):
+        # on a fresh context: the assembly, then alpha's build beside the
+        # kernel, under the one estimate the assembly checks
+        ctx = heis_ctx(N, 6.0)
+        a = boxed_gaussian(ctx.grid)
+        peak, estimates = self.peak_and_estimates(monkeypatch,
+                                                  lambda: wl.kernel_from_symbol(ctx, a))
+        print(f"PEAK kernel_from_symbol N={N} peak={peak} estimate={estimates[0]}")
+        assert len(estimates) == 1
+        assert peak <= estimates[0]
+
+    @pytest.mark.parametrize("function", ["kernel_from_symbol", "symbol_from_kernel"])
+    def test_refusal_comes_before_the_tables(self, function, monkeypatch):
+        # a budget of one kernel table refuses Heisenberg:3 at N = 8; the entry
+        # points raise before they allocate as much as one table
+        ctx = heis_ctx(8, 6.0)
+        a = boxed_gaussian(ctx.grid)
+        K, fresh = wl.kernel_from_symbol(ctx, a), heis_ctx(8, 6.0)
+        run = {"kernel_from_symbol": lambda: wl.kernel_from_symbol(fresh, a),
+               "symbol_from_kernel": lambda: wl.symbol_from_kernel(fresh, K)}[function]
+        table = K.values.nbytes
+        monkeypatch.setattr(wl, "_MAX_WORK_BYTES", table)
+        sp.centered_dft(np.zeros(2), [0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table
+        assert "alpha" not in fresh._cache
+
     def test_concurrent_slab_builds_fit_the_budget(self, monkeypatch):
         # a budget that fits two concurrent slab builds but not three: four threads
         # run two at a time, with the values of one thread
@@ -808,6 +851,118 @@ class TestWorkBudget:
                                                   lambda: wl._symbol_interp(fctx, fK))
         assert len(estimates) == 1
         assert peak <= estimates[0]
+
+
+class TestBatchedBits:
+    """Batching changes no output bit. The nodes of a Gauss-Legendre rule on
+    few points share one group-law call, the components of a potential share
+    one power table, and the assembly builds consecutive slabs as one table;
+    each matches its one-at-a-time form (tests/oracles.py, or the assembly
+    with one slab per table) with np.array_equal, shape and layout."""
+
+    PRESETS = ["abelian:1", "abelian:2", "heisenberg:3", "heisenberg:5", "filiform3:4"]
+
+    @staticmethod
+    def same(got, want):
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def dense_potential(alg, rng, degree):
+        """Every monomial of total degree <= degree, in every component."""
+        d = alg.dim
+        tables = [np.zeros((degree + 1,) * d) for _ in range(d)]
+        for t in tables:
+            for exps in np.ndindex(t.shape):
+                if sum(exps) <= degree:
+                    t[exps] = rng.normal(scale=0.3)
+        return mg.make_potential(alg, tables)
+
+    def potentials(self, name, alg):
+        rng = np.random.default_rng([48, alg.dim])
+        out = [self.dense_potential(alg, rng, deg) for deg in range(4)]
+        if name == "heisenberg:3":
+            # heis-moyal's gauge partner: A + d psi, psi = c0 x1^2 x2 + c1 x3^2
+            table = np.zeros((3, 2, 3))
+            table[2, 1, 0], table[0, 0, 2] = 0.1, 0.05
+            dpsi = mg.gradient_potential(mg.GaugeFunction(alg, table))
+            out.append(mg.add_potentials(mg.potential_preset("heisenberg-linear:0.4", alg), dpsi))
+        return out
+
+    @staticmethod
+    def point_counts(nodes):
+        # a lone point, the most points that batch every node, one more (the
+        # nodes split into smaller batches), and past the bound (one node a call)
+        bound = lc._PAIR_BUDGET // 8
+        return [1, bound // nodes, bound // nodes + 1, bound + 1]
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_alpha_exponent_and_potential(self, name):
+        alg = lc.algebra_preset(name)
+        rng = np.random.default_rng([49, alg.dim])
+        for A in self.potentials(name, alg):
+            for n in self.point_counts(mg._alpha_nodes(A)):
+                Y, Z = rng.normal(size=(2, n, alg.dim))
+                self.same(mg.evaluate_potential(A, Y),
+                          oracles.evaluate_potential_per_component(A, Y))
+                self.same(mg.alpha_exponent(A, Y, Z), oracles.alpha_exponent_node_loop(A, Y, Z))
+            # the pair layout of the phase tables: rows of Y against all of Z
+            Y, Z = rng.normal(size=(7, 1, alg.dim)), rng.normal(size=(1, 9, alg.dim))
+            self.same(mg.alpha_exponent(A, Y, Z), oracles.alpha_exponent_node_loop(A, Y, Z))
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_psi_map(self, name):
+        alg = lc.algebra_preset(name)
+        rng = np.random.default_rng([50, alg.dim])
+        nodes = lc.gauss01(-(-(alg.nilpotency_class + 2) // 2))[0].size
+        for n in self.point_counts(nodes):
+            V, Y = rng.normal(size=(2, n, alg.dim))
+            self.same(lc.psi_map(alg, V, Y), oracles.psi_map_node_loop(alg, V, Y))
+        V, Y = rng.normal(size=(7, 1, alg.dim)), rng.normal(size=(1, 9, alg.dim))
+        self.same(lc.psi_map(alg, V, Y), oracles.psi_map_node_loop(alg, V, Y))
+
+    @pytest.mark.parametrize("name, N, degree", [
+        ("abelian:1", 64, 3), ("abelian:2", 96, 1), ("heisenberg:3", 8, 2),
+        ("heisenberg:3", 18, 1), ("heisenberg:5", 4, 1), ("filiform3:4", 4, 1)])
+    def test_pi_action(self, name, N, degree):
+        # N^d points: all nodes in one call, two calls (heisenberg:3 N = 18),
+        # or one node a call (abelian:2 N = 96)
+        alg = lc.algebra_preset(name)
+        rng = np.random.default_rng([51, alg.dim, N])
+        A = self.dense_potential(alg, rng, degree)
+        ctx = wl.make_context(alg, A, sp.make_grid(alg.dim, N, 3.0))
+        f = sp.sample_config(lambda Y: np.exp(-(Y ** 2).sum(-1)), ctx.grid)
+        X, xi = 0.3 * rng.normal(size=(2, alg.dim))
+        self.same(wl.pi_action(ctx, X, xi, f).values, oracles.pi_action_node_loop(ctx, X, xi, f))
+
+    @pytest.mark.parametrize("case, batched", [
+        ("abelian1-N32", True), ("abelian1-N64", True), ("heisenberg3-N4", True),
+        ("heisenberg3-N8", False), ("heisenberg5-N2", True), ("two-derived-N4", False),
+        ("filiform-N2", True), ("filiform-N4", False)])
+    def test_slab_tables(self, case, batched, monkeypatch):
+        # a pair budget of one forces one slab per table (and one pair per block)
+        ctx = {"abelian1-N32": lambda: zero_ctx(AB1, 32, 6.0),
+               "abelian1-N64": lambda: zero_ctx(AB1, 64, 6.0),
+               "heisenberg3-N4": lambda: heis_ctx(4, 3.0),
+               "heisenberg3-N8": lambda: heis_ctx(8, 6.0),
+               "heisenberg5-N2": lambda: zero_ctx(lc.algebra_preset("heisenberg:5"), 2, 3.0),
+               "two-derived-N4": lambda: zero_ctx(DER2, 4, 3.0),
+               "filiform-N2": lambda: filiform_ctx(2),
+               "filiform-N4": lambda: filiform_ctx(4)}[case]()
+        rng = np.random.default_rng(52)
+        shape = (ctx.grid.points_per_axis,) * (2 * ctx.grid.dim)
+        a = sp.SymbolField(ctx.grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        calls = []
+        for budget in (wl._PAIR_BUDGET, 1):
+            work = TransformWork()
+            monkeypatch.setattr(wl, "centered_dft", work)
+            monkeypatch.setattr(wl, "_PAIR_BUDGET", budget)
+            calls.append((wl._kernel_structured(ctx, a), work.calls))
+        (got, batch_calls), (want, slab_calls) = calls
+        self.same(got, want)
+        # one table for several slabs makes fewer transform calls
+        assert (batch_calls < slab_calls) == batched
 
 
 class TestCompiledPhases:
