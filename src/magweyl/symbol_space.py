@@ -15,6 +15,7 @@ to kernel map isometric.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -127,13 +128,12 @@ def sample_config(evaluator, grid):
     return ConfigField(grid, values.copy())
 
 
-def _half_swap(values, axes):
-    """A complex copy of values with the two halves of each listed axis swapped.
+def _split_halves(values, axes):
+    """values viewed with each listed axis split as (2, n/2), and the index
+    that reads those length-2 axes backwards.
 
-    On an even axis the ifftshift and the fftshift are this same swap. Each
-    axis is viewed as (2, n/2) (splitting an axis is a view for any strides)
-    and the length-2 axis read backwards, so the swap is one strided copy.
-    The copy keeps the memory order of values, as np.empty_like does.
+    Splitting an axis is a view for any strides, so a write through the
+    view lands in values.
     """
     split, flip = [], []
     for ax, n in enumerate(values.shape):
@@ -143,9 +143,55 @@ def _half_swap(values, axes):
         else:
             split.append(n)
             flip.append(slice(None))
-    out = np.empty_like(values, dtype=complex)
-    out.reshape(split)[...] = values.reshape(split)[tuple(flip)]
+    return values.reshape(split, copy=False), tuple(flip)
+
+
+def _half_swap(values, axes, out=None):
+    """values with the two halves of each listed axis swapped, into out.
+
+    On an even axis the ifftshift and the fftshift are this same swap, one
+    strided copy. Without out it is a fresh complex array in the memory
+    order of values, as np.empty_like makes it; out must not overlap values.
+    """
+    if out is None:
+        out = np.empty_like(values, dtype=complex)
+    split, flip = _split_halves(values, axes)
+    _split_halves(out, axes)[0][...] = split[flip]
     return out
+
+
+def _half_swap_in_place(values):
+    """Swap the two halves of every axis of values in place.
+
+    Over all axes the swap sends each block (one half per axis) to its
+    complement, so the blocks with the first half on axis 0 are exchanged
+    with their complements through one block-sized buffer, 2^-ndim of
+    values.
+    """
+    split, _ = _split_halves(values, range(values.ndim))
+    buf = np.empty([n // 2 for n in values.shape], dtype=values.dtype)
+    for rest in itertools.product((0, 1), repeat=values.ndim - 1):
+        lo = split[tuple(i for b in (0,) + rest for i in (b, slice(None)))]
+        hi = split[tuple(i for b in (0,) + rest for i in (1 - b, slice(None)))]
+        buf[...] = lo
+        lo[...] = hi
+        hi[...] = buf
+
+
+def _swapped_dft(values, axes, inverse):
+    """The centred transform's work table: a half-swapped copy of values
+    transformed in place, still half swapped; and the normalized axes."""
+    values = np.asarray(values)
+    axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
+    if any(values.shape[a] % 2 for a in axes):
+        raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
+    v = _half_swap(values, axes)
+    if inverse:
+        np.fft.ifftn(v, axes=axes, out=v)
+        v *= np.prod([values.shape[a] for a in axes])
+    else:
+        np.fft.fftn(v, axes=axes, out=v)
+    return v, axes
 
 
 def centered_dft(values, axes, inverse=False):
@@ -158,17 +204,19 @@ def centered_dft(values, axes, inverse=False):
     centre. Copy budget: besides the input, one half-swapped copy that the
     FFT overwrites in place and one half-swapped copy out.
     """
-    values = np.asarray(values)
-    axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
-    if any(values.shape[a] % 2 for a in axes):
-        raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
-    v = _half_swap(values, axes)
-    if inverse:
-        np.fft.ifftn(v, axes=axes, out=v)
-        v *= np.prod([values.shape[a] for a in axes])
-    else:
-        np.fft.fftn(v, axes=axes, out=v)
+    v, axes = _swapped_dft(values, axes, inverse)
     return _half_swap(v, axes)
+
+
+def _centered_dft_in_place(values, axes, inverse=False):
+    """centered_dft(values, axes, inverse), swapped back into values.
+
+    For a caller that gives values up: values must be a writable complex
+    array, and the transform holds one half-swapped copy beside it, not
+    two. The bits are centered_dft's; the memory order is that of values.
+    """
+    v, axes = _swapped_dft(values, axes, inverse)
+    return _half_swap(v, axes, out=values)
 
 
 def fourier_g(field, forward=True):
@@ -197,19 +245,19 @@ def symplectic_fourier(symbol):
     Applies the forward transform on the x-axes, the inverse transform on the
     xi-axes, then swaps the two axis blocks. Applying it twice returns the
     original field to round-off. Both transforms run under one half swap of
-    all 2d axes, with the same copy budget as centered_dft.
+    all 2d axes, on one half-swapped copy of the input that is swapped back
+    in place, so a call holds one symbol-sized table besides its input.
     """
     if not isinstance(symbol, SymbolField):
         raise ShapeError("symplectic_fourier expects a phase-space field")
     g = symbol.grid
     d = g.dim
     scale = (g.h * g.dxi / TWO_PI) ** d
-    axes = range(2 * d)
-    v = _half_swap(symbol.values, axes)
+    v = _half_swap(symbol.values, range(2 * d))
     np.fft.fftn(v, axes=range(d), out=v)
     np.fft.ifftn(v, axes=range(d, 2 * d), out=v)
     v *= g.points_per_axis ** d
-    v = _half_swap(v, axes)
+    _half_swap_in_place(v)
     v *= scale
     return SymbolField(g, np.transpose(v, axes=tuple(range(d, 2 * d)) + tuple(range(d))))
 

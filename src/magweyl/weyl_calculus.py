@@ -38,7 +38,8 @@ import numpy as np
 from . import lie_core, magnetic
 from .errors import NotShiftable, ShapeError, WrongClass
 from .lie_core import _PAIR_BUDGET
-from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
+from .symbol_space import (ConfigField, SymbolField, _centered_dft_in_place, centered_dft,
+                           coordinate_mesh, fourier_g)
 
 TWO_PI = 2.0 * np.pi
 _MAX_WORK_BYTES = 1.2e9
@@ -211,7 +212,7 @@ def _fine_spectrum(values, axes):
     """
     out = values
     for ax in axes:
-        out = centered_dft(_pad_centred(out, [ax]), [ax], inverse=False)
+        out = _centered_dft_in_place(_pad_centred(out, [ax]), [ax])
         out /= out.shape[ax]
     return out
 
@@ -496,12 +497,13 @@ def _kernel_structured(ctx, a):
 
     # complex entries alive at the peak of each stage, the input aside:
     # - the transform over xi: its copy out, then the doubling of the fine
-    #   axes one at a time (input, padded, its two copies, and b);
+    #   axes one at a time (input, padded, its one copy, and b), each padded
+    #   table transformed in place;
     # - the position spectrum: b and its two copies;
     # - the slabs: the spectrum, the kernel, the index vectors, the modal
     #   phase tables ((N, N, 2N) per term), and per worker a job's table
-    #   (`batch` slabs) being built (its last transform's input and two
-    #   copies) or a built table and a block of pairs (the gathered entries,
+    #   (`batch` slabs) being built (its last transform's input and one
+    #   copy) or a built table and a block of pairs (the gathered entries,
     #   their first contraction, and per pair the output, its mask, 2 x 2N
     #   layouts per modal axis and 6N + 4d per nonlinear one); with no
     #   regular axis the one table is built before the workers run;
@@ -516,9 +518,9 @@ def _kernel_structured(ctx, a):
         + layout * (2 + 4 * N * len(modal) + (6 * N + 4 * d) * len(nl)))
 
     def work_bytes(workers):
-        slabs = (workers * (tab + max(2 * tab, pairs)) if reg
-                 else max(3 * tab, tab + workers * pairs))
-        stages = (2 * n2 + (3.5 * bsize + n2 if fine else 0),
+        slabs = (workers * (tab + max(tab, pairs)) if reg
+                 else max(2 * tab, tab + workers * pairs))
+        stages = (2 * n2 + (2.5 * bsize + n2 if fine else 0),
                   3 * bsize,
                   bsize + n2 + (len(lin) + len(reg) + len(shift)) * layout + phase_tables
                   + slabs)
@@ -605,9 +607,10 @@ def _kernel_structured(ctx, a):
         for c, s in zip(shift, offsets):
             t *= np.exp(-1j * (along(zeta, w_axis[c]) * s))
         if up:
-            # padded first, to free the unpadded table; shift is within up
+            # padded first, to free the unpadded table, and transformed in
+            # place; shift is within up
             t = _pad_centred(t, up)
-            t = centered_dft(t, up + shift_axes, inverse=True)
+            _centered_dft_in_place(t, up + shift_axes, inverse=True)
         for c, s in zip(shift, offsets):
             t *= np.abs(along(w_fine, w_axis[c]) - s) < 2 * L
         # the nonlinear position axes stay spectral, behind the w block
@@ -880,7 +883,7 @@ def _midpoint_table_to_symbol(ctx, bbar):
     cstr = alg.structure_constants
     x, xi = grid.axis_x, grid.axis_xi
     if der:
-        bbar[...] = centered_dft(bbar, [d + c for c in der], inverse=False)
+        _centered_dft_in_place(bbar, [d + c for c in der])
     for c in der:
         # exp(-i xi s_c), s_c = [m, W]_c / 2 over the regular coordinates
         bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(

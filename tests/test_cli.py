@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,71 @@ class TestGridBudget:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
         assert not (out / "report.json").exists()
+
+
+def random_symbol_summed(grid, rng):
+    """cli._random_symbol's three Gaussians drawn from rng in its order and
+    summed as out = 0.0, out = out + amp * exp(...)."""
+    d = grid.dim
+    sx, sxi = cli._boxed_widths(grid)
+    span, span_xi = grid.box_half_width / 3.0, np.pi / (3.0 * grid.h)
+    terms = [(rng.uniform(-span, span, size=d), rng.uniform(-span_xi, span_xi, size=d),
+              rng.normal() + 1j * rng.normal()) for _ in range(3)]
+
+    def f(X, Xi):
+        out = 0.0
+        for cx, cxi, amp in terms:
+            qx = sum((X[..., i] - cx[i]) ** 2 for i in range(d))
+            qxi = sum((Xi[..., i] - cxi[i]) ** 2 for i in range(d))
+            out = out + amp * np.exp(-qx / (2 * sx) - qxi / (2 * sxi))
+        return out
+
+    return sp.sample_symbol(f, grid)
+
+
+class TestFourierSuite:
+    CANONICAL = {"algebra": "heisenberg:3", "potential": "heisenberg-linear:0.4",
+                 "grid": {"N": 8, "L": 6.0}, "seed": 42}
+
+    def rng(self):
+        return np.random.default_rng([42, cli.SUITES.index("fourier") + 1])
+
+    @pytest.mark.parametrize("dim,N,L", [(3, 8, 6.0), (1, 1024, 10.0)])
+    def test_random_symbol_is_the_summed_gaussians(self, dim, N, L):
+        # at N = 1024 the exponent underflows, so zeros and their signs are
+        # compared too
+        grid = sp.make_grid(dim, N, L)
+        rng, oracle_rng = self.rng(), self.rng()
+        for _ in range(3):
+            got = cli._random_symbol(grid, rng).values
+            want = random_symbol_summed(grid, oracle_rng).values
+            assert got.strides == want.strides and got.tobytes() == want.tobytes()
+        assert N == 8 or np.any(got == 0)
+
+    def test_peak_and_value(self):
+        # the canonical Heisenberg:3 N = 8 run: the gap is formed in the
+        # double transform's table, which is dropped before the next symbol
+        # is drawn, so the peak is a symbol, its transform and one work
+        # table (5.0 when each transform made two and the loop held the
+        # last pair while drawing the next)
+        ctx = cli._context_from_config(self.CANONICAL, 1)
+        table = 16 * ctx.grid.points_per_axis ** (2 * ctx.grid.dim)
+        cli._suite_fourier(self.CANONICAL, ctx, self.rng())  # warm the FFT plans
+        tracemalloc.start()
+        try:
+            (record,) = cli._suite_fourier(self.CANONICAL, ctx, self.rng())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"PEAK suite-fourier N=8 peak={peak} tables={peak / table:.2f}")
+        rng, worst = self.rng(), 0.0
+        for _ in range(5):
+            a = random_symbol_summed(ctx.grid, rng)
+            aa = sp.symplectic_fourier(sp.symplectic_fourier(a))
+            worst = max(worst, np.abs(aa.values - a.values).max() / np.abs(a.values).max())
+        assert record["check"] == "fourier-involution"
+        assert repr(record["value"]) == repr(float(worst))
+        assert peak <= 3.5 * table
 
 
 class TestSuiteCommand:

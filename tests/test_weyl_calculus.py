@@ -1,6 +1,7 @@
 """Tests for kernels, the twisted representation, and the Moyal product."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import oracles
@@ -643,16 +644,19 @@ class TestExponentialCounts:
 
 
 class TransformWork:
-    """Stands in for centered_dft: sums values.size * len(axes) over calls."""
+    """Stands in for centered_dft and its in-place variant in weyl_calculus:
+    sums values.size * len(axes) over calls."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.work = 0
         self.calls = 0
+        for name in ("centered_dft", "_centered_dft_in_place"):
+            monkeypatch.setattr(wl, name, partial(self.count, getattr(sp, name)))
 
-    def __call__(self, values, axes, inverse=False):
+    def count(self, transform, values, axes, inverse=False):
         self.work += np.size(values) * len(axes)
         self.calls += 1
-        return sp.centered_dft(values, axes, inverse)
+        return transform(values, axes, inverse)
 
 
 class TestTransformWork:
@@ -672,30 +676,26 @@ class TestTransformWork:
         self.a = boxed_gaussian(self.ctx.grid, centers_x=[0.3, 0.0, -0.2])
 
     def test_twostep_kernel(self, monkeypatch):
-        work = TransformWork()
-        monkeypatch.setattr(wl, "centered_dft", work)
+        work = TransformWork(monkeypatch)
         wl._kernel_structured(self.ctx, self.a)
         assert 0 < work.work < 8e6
 
     def test_twostep_adjoint(self, monkeypatch):
         K = wl._kernel_structured(self.ctx, self.a)
-        work = TransformWork()
-        monkeypatch.setattr(wl, "centered_dft", work)
+        work = TransformWork(monkeypatch)
         wl._symbol_twostep_adjoint(self.ctx, K)
         assert 0 < work.work < 3e6
 
     def test_midpoint_table_to_symbol(self, monkeypatch):
         bbar = np.ones((8,) * 6, dtype=complex)
-        work = TransformWork()
-        monkeypatch.setattr(wl, "centered_dft", work)
+        work = TransformWork(monkeypatch)
         wl._midpoint_table_to_symbol(self.ctx, bbar)
         assert 0 < work.work < 8e5
 
     def test_direct_moyal_point(self, monkeypatch):
         # at this probe the windows keep 4 of 8 rows on each regular axis
         b = boxed_gaussian(self.ctx.grid, centers_xi=[0.1, -0.2, 0.0])
-        work = TransformWork()
-        monkeypatch.setattr(wl, "centered_dft", work)
+        work = TransformWork(monkeypatch)
         wl.moyal_2step_point(self.ctx, self.a, b, self.ctx.grid.axis_x[[3, 5, 4]],
                              np.array([0.2, -0.1, 0.3]))
         assert 0 < work.work < 1e6
@@ -955,8 +955,7 @@ class TestBatchedBits:
         a = sp.SymbolField(ctx.grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
         calls = []
         for budget in (wl._PAIR_BUDGET, 1):
-            work = TransformWork()
-            monkeypatch.setattr(wl, "centered_dft", work)
+            work = TransformWork(monkeypatch)
             monkeypatch.setattr(wl, "_PAIR_BUDGET", budget)
             calls.append((wl._kernel_structured(ctx, a), work.calls))
         (got, batch_calls), (want, slab_calls) = calls
