@@ -684,20 +684,22 @@ def main(argv=None):
         prog="magweyl",
         description="Kernel quantization on nilpotent groups: builds and checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify-algebra", cmd_verify_algebra),
-                     ("build-kernel", cmd_build_kernel),
-                     ("suite", cmd_suite)):
+    # each subcommand takes only the flags it reads
+    types = {"--seed": int, "--suites": str, "--threads": int}
+    for name, fn, flags in (("verify-algebra", cmd_verify_algebra, ["--seed"]),
+                            ("build-kernel", cmd_build_kernel, ["--threads"]),
+                            ("suite", cmd_suite, ["--seed", "--suites", "--threads"])):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--suites", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=types[flag], default=None)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(args.threads)
-        if args.seed is not None and args.seed < 0:
+        if "threads" in args:
+            args.threads = _resolve_threads(args.threads)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # non-finite results are reported by the checks and the kernel
         # guard; numpy's floating-point warnings would only add stderr lines

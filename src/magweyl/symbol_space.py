@@ -178,45 +178,32 @@ def _half_swap_in_place(values):
         hi[...] = buf
 
 
-def _swapped_dft(values, axes, inverse):
-    """The centred transform's work table: a half-swapped copy of values
-    transformed in place, still half swapped; and the normalized axes."""
-    values = np.asarray(values)
-    axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
-    if any(values.shape[a] % 2 for a in axes):
-        raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
-    v = _half_swap(values, axes)
-    if inverse:
-        np.fft.ifftn(v, axes=axes, out=v)
-        v *= np.prod([values.shape[a] for a in axes])
-    else:
-        np.fft.fftn(v, axes=axes, out=v)
-    return v, axes
-
-
-def centered_dft(values, axes, inverse=False):
+def centered_dft(values, axes, inverse=False, in_place=False):
     """Centered-grid DFT sum along the given axes (no measure factors).
 
     Computes sum_j f_j exp(-+ 2 pi i (j - N/2)(k - N/2)/N) per axis; the
     inverse flag flips the exponent sign and drops the FFT library's 1/N so
     the result is the plain conjugate-kernel sum. Every transformed axis must
     have even length N (ShapeError otherwise), so that index N/2 is the
-    centre. Copy budget: besides the input, one half-swapped copy that the
-    FFT overwrites in place and one half-swapped copy out.
+    centre. One half-swapped copy of values is transformed in place and
+    swapped back: by default into a fresh array in the memory order of
+    values, so the call holds two arrays besides its input. With in_place
+    the caller hands values over, a writable complex array, and the result
+    is swapped back into it: the same bits, one array besides it.
     """
-    v, axes = _swapped_dft(values, axes, inverse)
-    return _half_swap(v, axes)
-
-
-def _centered_dft_in_place(values, axes, inverse=False):
-    """centered_dft(values, axes, inverse), swapped back into values.
-
-    For a caller that gives values up: values must be a writable complex
-    array, and the transform holds one half-swapped copy beside it, not
-    two. The bits are centered_dft's; the memory order is that of values.
-    """
-    v, axes = _swapped_dft(values, axes, inverse)
-    return _half_swap(v, axes, out=values)
+    values = np.asarray(values)
+    axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
+    if any(values.shape[a] % 2 for a in axes):
+        raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
+    if in_place and values.dtype != complex:
+        raise ShapeError(f"centered_dft in place needs a complex array, got {values.dtype}")
+    v = _half_swap(values, axes)
+    if inverse:
+        np.fft.ifftn(v, axes=axes, out=v)
+        v *= np.prod([values.shape[a] for a in axes])
+    else:
+        np.fft.fftn(v, axes=axes, out=v)
+    return _half_swap(v, axes, out=values if in_place else None)
 
 
 def fourier_g(field, forward=True):

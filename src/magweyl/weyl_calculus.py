@@ -38,8 +38,7 @@ import numpy as np
 from . import lie_core, magnetic
 from .errors import NotShiftable, ShapeError, WrongClass
 from .lie_core import _PAIR_BUDGET
-from .symbol_space import (ConfigField, SymbolField, _centered_dft_in_place, centered_dft,
-                           coordinate_mesh, fourier_g)
+from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
 
 TWO_PI = 2.0 * np.pi
 _MAX_WORK_BYTES = 1.2e9
@@ -212,7 +211,7 @@ def _fine_spectrum(values, axes):
     """
     out = values
     for ax in axes:
-        out = _centered_dft_in_place(_pad_centred(out, [ax]), [ax])
+        out = centered_dft(_pad_centred(out, [ax]), [ax], in_place=True)
         out /= out.shape[ax]
     return out
 
@@ -499,7 +498,7 @@ def _kernel_structured(ctx, a):
     # - the transform over xi: its copy out, then the doubling of the fine
     #   axes one at a time (input, padded, its one copy, and b), each padded
     #   table transformed in place;
-    # - the position spectrum: b and its two copies;
+    # - the position spectrum: b and its one copy, handed back into b;
     # - the slabs: the spectrum, the kernel, the index vectors, the modal
     #   phase tables ((N, N, 2N) per term), and per worker a job's table
     #   (`batch` slabs) being built (its last transform's input and one
@@ -521,7 +520,7 @@ def _kernel_structured(ctx, a):
         slabs = (workers * (tab + max(tab, pairs)) if reg
                  else max(2 * tab, tab + workers * pairs))
         stages = (2 * n2 + (2.5 * bsize + n2 if fine else 0),
-                  3 * bsize,
+                  2 * bsize,
                   bsize + n2 + (len(lin) + len(reg) + len(shift)) * layout + phase_tables
                   + slabs)
         return max(16 * max(stages) + (1 << 16), 16 * n2 + alpha)
@@ -541,8 +540,7 @@ def _kernel_structured(ctx, a):
     x, zeta = grid.axis_x, _fine_dual_axis(grid)
 
     # the position spectrum over N^d, each ramped axis's ramp at odd differences
-    spec = centered_dft(b, range(d), inverse=False)
-    del b
+    spec = centered_dft(b, range(d), in_place=True)
     spec /= N ** d
     for ax in ramped:
         shape = [1] * spec.ndim
@@ -601,7 +599,7 @@ def _kernel_structured(ctx, a):
     def slab_table(rs):
         t = spec if rs is None else np.take(spec, rs + half, axis=d)
         if ramped:
-            t = centered_dft(t, ramped, inverse=True)
+            t = centered_dft(t, ramped, inverse=True, in_place=True)
         offsets = shift_offsets(rs) if shift else []
         t = _fine_spectrum(t, shift_axes)
         for c, s in zip(shift, offsets):
@@ -610,7 +608,7 @@ def _kernel_structured(ctx, a):
             # padded first, to free the unpadded table, and transformed in
             # place; shift is within up
             t = _pad_centred(t, up)
-            _centered_dft_in_place(t, up + shift_axes, inverse=True)
+            centered_dft(t, up + shift_axes, inverse=True, in_place=True)
         for c, s in zip(shift, offsets):
             t *= np.abs(along(w_fine, w_axis[c]) - s) < 2 * L
         # the nonlinear position axes stay spectral, behind the w block
@@ -736,20 +734,14 @@ def _sigma_inverse(ctx, V, W):
 
 
 def _interp_bytes(grid):
-    """Working memory of `_interp_inverse`, its input aside: G and its
-    transform's two copies; per pair of a block the group law's peak, 13 d
-    floats with Y and Z, and the interpolated value; and one corner block of
-    _multilinear, at most 48 bytes per corner entry."""
+    """Working memory of `_interp_inverse`, its input aside: G and the one
+    copy its transform hands back into it; per pair of a block the group
+    law's peak, 13 d floats with Y and Z, and the interpolated value; and
+    one corner block of _multilinear, at most 48 bytes per corner entry."""
     d, N = grid.dim, grid.points_per_axis
     n = N ** d
     corners = max(1 << 2 * d, _PAIR_BUDGET // 8)
-    return 48 * n * n + (104 * d + 16) * min(max(1, _PAIR_BUDGET // n), n) * n + 48 * corners
-
-
-def _symbol_interp(ctx, M):
-    """`_interp_inverse` behind its budget check."""
-    _check_work_bytes(_interp_bytes(ctx.grid))
-    return _interp_inverse(ctx, M)
+    return 32 * n * n + (104 * d + 16) * min(max(1, _PAIR_BUDGET // n), n) * n + 48 * corners
 
 
 def _interp_inverse(ctx, M):
@@ -775,7 +767,7 @@ def _interp_inverse(ctx, M):
         W = np.broadcast_to(pts[None, :, :], (nb, n, d))
         Y, Z = _sigma_inverse(ctx, V, W)
         G[start:start + block] = _multilinear(tensor, (Y, Z), h, N // 2)
-    G = centered_dft(G.reshape((N,) * (2 * d)), range(d, 2 * d), inverse=False)
+    G = centered_dft(G.reshape((N,) * (2 * d)), range(d, 2 * d), in_place=True)
     G *= h ** d
     return G
 
@@ -790,19 +782,15 @@ def _check_shiftable(alg):
 
 
 def _adjoint_bytes(grid):
-    """Working memory of `_twostep_adjoint`, its input handed over: three
+    """Working memory of `_twostep_adjoint`, its input handed over: two
     kernel-sized tables at the peak of each stage (a gather step's input and
-    output, then a transform's input and its two copies) and 64 kB of small
-    tables."""
-    return 48 * grid.points_per_axis ** (2 * grid.dim) + (1 << 16)
-
-
-def _symbol_twostep_adjoint(ctx, M):
-    """`_twostep_adjoint` behind its checks: NotShiftable, and the budget
-    with alpha counted once the context caches it."""
-    _check_shiftable(ctx.algebra)
-    _check_work_bytes(_adjoint_bytes(ctx.grid) + 16 * M.size * ("alpha" in ctx._cache))
-    return _twostep_adjoint(ctx, M)
+    output, then a table and the one copy its transform hands back into it),
+    numpy's buffers for a gather step's strided add (three operands of at
+    most np.getbufsize() entries and of one diagonal, n2 / N) and 64 kB of
+    small tables."""
+    N = grid.points_per_axis
+    n2 = N ** (2 * grid.dim)
+    return 32 * n2 + 48 * min(np.getbufsize(), n2 // N) + (1 << 16)
 
 
 def _twostep_adjoint(ctx, M):
@@ -852,14 +840,12 @@ def _twostep_adjoint(ctx, M):
     for i in range(d):
         table = gather(table, i)
 
-    # the position round trip; each table is dropped once its transform returns
-    spec = centered_dft(table, range(d), inverse=False)
-    del table
+    # the position round trip, both transforms in the table
+    centered_dft(table, range(d), in_place=True)
     ramps = np.conj(_parity_ramps(grid))
     for i in range(d):
-        spec *= ramps.reshape([N if k in (i, d + i) else 1 for k in range(2 * d)])
-    table = centered_dft(spec, range(d), inverse=True)
-    del spec
+        table *= ramps.reshape([N if k in (i, d + i) else 1 for k in range(2 * d)])
+    centered_dft(table, range(d), inverse=True, in_place=True)
     table /= N ** d
     return _midpoint_table_to_symbol(ctx, table)
 
@@ -868,10 +854,10 @@ def _midpoint_table_to_symbol(ctx, bbar):
     """The symbol from its partial transform b(m, w) on the difference windows.
 
     bbar has axes (m..., w...), each w on the N-point window |w| < L, and
-    is overwritten. On a derived axis c it holds the doubled window
-    |w| < 2L folded mod N (the adjoint folds it at the gather), with
-    entries at w_c = r h + s_c(m, w), s_c = [m, W]_c / 2 over the regular
-    coordinates. The N-point spectrum of the folded window is the even
+    is handed over: the symbol is returned in it. On a derived axis c it
+    holds the doubled window |w| < 2L folded mod N (the adjoint folds it at
+    the gather), with entries at w_c = r h + s_c(m, w), s_c = [m, W]_c / 2
+    over the regular coordinates. The N-point spectrum of the folded window is the even
     modes of the doubled window's 2N-point spectrum (frequency sampling), so
     times exp(-i xi s_c) it is that of the unshifted window folded onto
     |w| < L. Each difference axis is transformed once, on N points.
@@ -883,16 +869,17 @@ def _midpoint_table_to_symbol(ctx, bbar):
     cstr = alg.structure_constants
     x, xi = grid.axis_x, grid.axis_xi
     if der:
-        _centered_dft_in_place(bbar, [d + c for c in der])
+        centered_dft(bbar, [d + c for c in der], in_place=True)
     for c in der:
         # exp(-i xi s_c), s_c = [m, W]_c / 2 over the regular coordinates
         bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(
             0.5 * cstr[i, j, c] * x.reshape((N,) + (1,) * (2 * d - 1 - i))
             * x.reshape((N,) + (1,) * (d - 1 - j))
             for i, j in zip(*np.nonzero(cstr[:, :, c])) if i in reg and j in reg))
-    out = centered_dft(bbar, [d + i for i in reg], inverse=False) if reg else bbar
-    out *= h ** d
-    return out
+    if reg:
+        centered_dft(bbar, [d + i for i in reg], in_place=True)
+    bbar *= h ** d
+    return bbar
 
 
 def symbol_from_kernel(ctx, K):
@@ -901,7 +888,7 @@ def symbol_from_kernel(ctx, K):
     One estimate covers the whole call and is checked before anything is
     allocated: alpha's build (`_alpha_bytes`), then alpha beside the
     dealphaed kernel conj(alpha) K and the inverse it is handed to (which
-    outweighs the three tables of forming conj(alpha) K).
+    covers the three tables of forming conj(alpha) K).
     """
     if not isinstance(K, IntegralKernel):
         raise ShapeError("symbol_from_kernel expects an integral kernel")

@@ -98,6 +98,24 @@ class TestConfigParsing:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    def test_verify_algebra_reads_no_thread_count(self, tmp_path, capsys, monkeypatch):
+        # verify-algebra builds no kernel, so a malformed MAGWEYL_THREADS is
+        # not its error
+        monkeypatch.setenv("MAGWEYL_THREADS", "two")
+        cfg = write_config(tmp_path, algebra="heisenberg:3")
+        assert run("verify-algebra", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("verify-algebra", "--threads"), ("verify-algebra", "--suites"),
+        ("build-kernel", "--seed"), ("build-kernel", "--suites")])
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path, **CHEAP, symbol={"kind": "gaussian"})
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", cfg, "--out", str(tmp_path / "o"), flag, "3")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
     @pytest.mark.parametrize("override", [
         {"symbol": {"kind": "gaussian", "amplitude": "x"}},

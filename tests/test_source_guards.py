@@ -32,6 +32,13 @@ def environ_lines(source):
     return lines
 
 
+def fft_lines(source):
+    """Line numbers that reach numpy's FFT module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "fft"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+
+
 def test_detector_flags_exp_of_matmul():
     assert exp_of_matmul_lines("np.exp(1j * x @ k.T)") == [1]
     assert exp_of_matmul_lines("np.exp(1j * x) @ k") == []
@@ -62,3 +69,17 @@ def test_only_the_cli_reads_the_environment():
     offenders = [f"{p.name}:{line}" for p in files
                  for line in environ_lines(p.read_text())]
     assert not offenders, f"environment read outside cli.py at {', '.join(offenders)}"
+
+
+def test_detector_flags_fft_calls():
+    assert fft_lines("x = 1\nnp.fft.fftn(v, axes=(0,), out=v)") == [2]
+    assert fft_lines("centered_dft(v, [0])") == []
+
+
+def test_only_symbol_space_calls_the_fft():
+    # every transform of the kernel maps goes through centered_dft, where
+    # the transform-work tests and the benchmark's tracer count it
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "symbol_space.py")
+    assert files
+    offenders = [f"{p.name}:{line}" for p in files for line in fft_lines(p.read_text())]
+    assert not offenders, f"np.fft outside symbol_space.py at {', '.join(offenders)}"

@@ -112,34 +112,51 @@ class TestFourierG:
 
 def same_bits_and_layout(got, want):
     # downstream reductions sum in memory order, so the layout is part of
-    # the bit-for-bit contract
-    return np.array_equal(got, want) and got.strides == want.strides
+    # the bit-for-bit contract; np.array_equal misses the sign of zero, the
+    # bytes do not
+    return (np.array_equal(got, want) and got.strides == want.strides
+            and got.tobytes(order="A") == want.tobytes(order="A"))
 
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def centered_dft_of(v, axes, inverse, in_place):
+    """centered_dft(v, axes, inverse); in place on a copy of v in its memory
+    order, which must come back as the result."""
+    if not in_place:
+        return ss.centered_dft(v, axes, inverse)
+    got = v.copy(order="K")
+    assert ss.centered_dft(got, axes, inverse, in_place=True) is got
+    return got
+
+
 class TestCenteredDft:
     @pytest.mark.parametrize("N,ndim", [(2, 5), (8, 3), (12, 3)])
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_matches_the_rolled_transform_bit_for_bit(self, N, ndim, inverse):
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_matches_the_rolled_transform_bit_for_bit(self, N, ndim, inverse, in_place):
         rng = np.random.default_rng(N)
         v = random_complex(rng, (N,) * ndim)
+        v[(1,) * ndim] = complex(-0.0, 0.0)
         for axes in ([1], [0, 2], list(range(ndim))):
             want = oracles.centered_dft_rolled(v, axes, inverse)
-            assert same_bits_and_layout(ss.centered_dft(v, axes, inverse), want)
+            assert same_bits_and_layout(centered_dft_of(v, axes, inverse, in_place), want)
 
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_real_and_transposed_inputs(self, inverse):
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_real_and_transposed_inputs(self, inverse, in_place):
+        # a table handed over must be complex, so in place takes the
+        # transposed input only
         rng = np.random.default_rng(3)
         real = rng.normal(size=(8, 12, 4))
         transposed = np.transpose(random_complex(rng, (4, 8, 12, 2)), (2, 0, 3, 1))
         assert not transposed.flags.c_contiguous
-        for v in (real, transposed):
+        for v in (transposed,) if in_place else (real, transposed):
             for axes in ([0], [1, 2], range(v.ndim)):
                 want = oracles.centered_dft_rolled(v, axes, inverse)
-                assert same_bits_and_layout(ss.centered_dft(v, axes, inverse), want)
+                assert same_bits_and_layout(centered_dft_of(v, axes, inverse, in_place), want)
 
     def test_symplectic_fourier_is_two_rolled_transforms_and_a_swap(self):
         d = 2
@@ -188,24 +205,13 @@ class TestCenteredDft:
         assert peak <= 1.1 * v.nbytes
 
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_in_place_variant_is_centered_dft_written_back(self, inverse):
-        rng = np.random.default_rng(6)
-        c_order = random_complex(rng, (8, 4, 6, 2))
-        c_order[0, 1, 2, 1] = complex(-0.0, 0.0)
-        transposed = np.transpose(random_complex(rng, (4, 8, 6, 2)), (1, 0, 3, 2))
-        for v in (c_order, transposed):
-            for axes in ([0], [1, 2], range(v.ndim)):
-                want = ss.centered_dft(v, axes, inverse)
-                got = v.copy(order="K")
-                assert ss._centered_dft_in_place(got, axes, inverse) is got
-                # np.array_equal misses the sign of zero; the bytes do not
-                assert np.array_equal(got, want) and got.strides == want.strides
-                assert got.tobytes(order="A") == want.tobytes(order="A")
-        v = random_complex(rng, (8,) * 6)
-        ss._centered_dft_in_place(v.copy(), range(3), inverse)  # warm the plan cache
+    def test_in_place_transient_memory_is_one_array(self, inverse):
+        # the half-swapped copy is swapped back into the table handed over
+        v = random_complex(np.random.default_rng(6), (8,) * 6)
+        ss.centered_dft(v.copy(), range(3), inverse, in_place=True)  # warm the plan cache
         tracemalloc.start()
         try:
-            ss._centered_dft_in_place(v, range(3), inverse)
+            ss.centered_dft(v, range(3), inverse, in_place=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,6 +229,13 @@ class TestCenteredDft:
         with pytest.raises(ShapeError):
             ss.centered_dft(v, [1])
         assert ss.centered_dft(v, [0, 2]).shape == v.shape
+
+    @pytest.mark.parametrize("dtype", [float, np.complex64])
+    def test_in_place_refuses_a_table_that_cannot_hold_the_result(self, dtype):
+        v = np.ones((4, 4), dtype=dtype)
+        with pytest.raises(ShapeError, match="complex array"):
+            ss.centered_dft(v, [0], in_place=True)
+        assert np.all(v == 1)
 
 
 class TestSymplecticFourier:
