@@ -8,9 +8,9 @@ arrays of shape (..., dim) and broadcasts over leading axes.
 The group product attached to the algebra (in exponential coordinates) is the
 Dynkin commutator series truncated at word length class + 1, which is exact
 here: for a nilpotent algebra of class n (abelian has class 0, two-step
-algebras class 1) all brackets of word length n + 2 or more vanish. Every
-s-integral below has a polynomial integrand of known degree, so a fixed
-Gauss-Legendre rule evaluates it to round-off.
+algebras class 1) all brackets of word length n + 2 or more vanish, so
+psi_map's s-integral is one word sum and its inverse takes class-many steps.
+The magnetic phase's s-integrals run a Gauss-Legendre rule (gauss_sum).
 
 Every bracket runs a program compiled once per algebra from its nonzero
 structure constants, on contiguous coordinate rows. On sparse bases (every
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil, factorial
+from math import factorial
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class NilpotentLieAlgebra:
     nilpotency_class: int
     lcs_dims: list[int]
     adapted_change_of_basis: np.ndarray
-    _quotient: tuple = field(default=None, repr=False)
     _program: tuple = field(default=None, repr=False)
 
 
@@ -351,14 +350,14 @@ def _nodes_per_call(n, npoints):
 def gauss_sum(integrand, n, shape):
     """sum_i w_i integrand(s_i) over the n-node Gauss-Legendre rule on [0, 1].
 
-    The integrand is evaluated at points of the given broadcast shape (the
+    The rule of magnetic.alpha_exponent and of pi_action's phase. The
+    integrand is evaluated at points of the given broadcast shape (the
     coordinate axis aside). It takes the nodes s as an array of shape
     (k, 1, ..., 1), a leading node axis in front of len(shape) + 1 axes, and
     returns its values on that leading axis. The nodes go k at a time, as
-    many as keep k x prod(shape) within _PAIR_BUDGET // 8 points (one corner
-    block of the interpolating inverse) and at least one, so no batch
-    outgrows a one-node call on a pair block. The weighted sum runs node by
-    node in node order, so the value is the node loop's bit for bit.
+    many as keep k x prod(shape) within _PAIR_BUDGET // 8 points and at
+    least one, so no batch outgrows a one-node call on a pair block. The
+    weighted sum runs node by node in node order, as the node loop's.
     """
     nodes, weights = gauss01(n)
     nodes = nodes.reshape((-1,) + (1,) * (len(shape) + 1))
@@ -373,24 +372,24 @@ def gauss_sum(integrand, n, shape):
     return total
 
 
+@lru_cache(maxsize=None)
+def _psi_words(max_degree):
+    """The Dynkin words of bch(Y, sV) integrated over s in [0, 1]: a word
+    with k letters V scales as s^k, so its coefficient is divided by k + 1."""
+    return tuple((coeff / (1 + letters.count(1)), letters)
+                 for coeff, letters in _dynkin_words(max_degree))
+
+
 def psi_map(alg, V, Y):
     """The averaged right translation Y -> integral of Y * (sV) over s in [0, 1].
 
-    The integrand is polynomial in s of degree at most class + 1, so the
-    fixed Gauss-Legendre rule is exact; its nodes share one group-law call
-    (`gauss_sum`).
+    The integrand is a sum of Dynkin words in Y and sV, each a monomial in
+    s, so the integral is one word sum (`_psi_words`).
     """
     n = alg.nilpotency_class
-    V = np.asarray(V, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return gauss_sum(lambda s: bch(alg, Y, s * V), ceil((n + 2) / 2),
-                     np.broadcast_shapes(V.shape, Y.shape)[:-1])
-
-
-def _quotient_cached(alg):
-    if alg._quotient is None:
-        alg._quotient = quotient_by_top_layer(alg)
-    return alg._quotient
+    if n > MAX_CLASS:
+        raise ClassTooLarge(f"nilpotency class {n} exceeds supported bound {MAX_CLASS}")
+    return _eval_words(alg, _psi_words(n + 1), Y, V)
 
 
 def quotient_by_top_layer(alg):
@@ -416,19 +415,17 @@ def quotient_by_top_layer(alg):
 def psi_inverse(alg, V, Z):
     """Inverse of psi_map in its second argument.
 
-    Induction on the nilpotency class: the abelian base case returns
-    Z - V / 2; otherwise recurse on the quotient by the central layer, lift
-    through the coordinate section and correct by one more psi_map. The
-    round trip psi_map(V, psi_inverse(V, Z)) = Z holds to round-off.
+    psi_map(V, Y) - Y - V / 2 is a sum of brackets, so from Y = Z - V / 2
+    each correction Y <- Y + (Z - psi_map(V, Y)) moves the error one layer
+    down the lower central series: class-many corrections are exact, and
+    psi_map(V, psi_inverse(V, Z)) = Z holds to round-off.
     """
     V = np.asarray(V, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    if alg.nilpotency_class == 0:
-        return Z - 0.5 * V
-    quotient, q, iota = _quotient_cached(alg)
-    phi = psi_inverse(quotient, V @ q.T, Z @ q.T)
-    lift = phi @ iota.T
-    return Z - psi_map(alg, V, lift) + lift
+    Y = Z - 0.5 * V
+    for _ in range(alg.nilpotency_class):
+        Y = Y + (Z - psi_map(alg, V, Y))
+    return Y
 
 
 def algebra_preset(name):

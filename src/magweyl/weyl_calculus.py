@@ -42,6 +42,11 @@ from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mes
 
 TWO_PI = 2.0 * np.pi
 _MAX_WORK_BYTES = 1.2e9
+# relative slack of the nonlinear axes' masks, so that an exact tie |m| = L
+# or |w| = 2L follows the rule: the group law's round-off reads at most
+# 1.2e-15 L and the nearest non-tie 4.6e-3 of the bound (filiform3:4, L = 3,
+# N = 2, 4 and 6, against exact rational midpoints)
+_TIE_SLACK = 1e-9
 
 
 class IntegralKernel:
@@ -433,11 +438,12 @@ def _kernel_structured(ctx, a):
     half-step grid, so those evaluations are exact interpolant values. A
     nonlinear axis stays spectral in both slots: its N position modes and
     2N difference modes are summed against the group law's midpoint and
-    difference on every pair, masked where |m| > L or |w| >= 2L.
-    Assembly runs in slabs of constant j - k along the first regular axis
-    q, and consecutive slabs are built as one table, the slab an axis of it,
-    as many as fit _PAIR_BUDGET entries (every slab of a one-dimensional
-    group or of filiform3:4 at N = 2, one slab of Heisenberg:3 at N = 8).
+    difference on every pair, masked where |m| > L or |w| >= 2L, with exact
+    ties on the rule's side (`_TIE_SLACK`). Assembly runs in slabs of
+    constant j - k along the first regular axis q, and consecutive slabs
+    are built as one table, the slab an axis of it, as many as fit
+    _PAIR_BUDGET entries (every slab of a one-dimensional group or of
+    filiform3:4 at N = 2, one slab of Heisenberg:3 at N = 8).
     The midpoint index j + k of a regular axis has the parity of its
     difference, so the position spectrum carries that axis's half-step ramp
     once per call and the slab table is read at (j + k) // 2. A derived
@@ -631,8 +637,8 @@ def _kernel_structured(ctx, a):
             M = -lie_core.psi_map(alg, W, -Y)
             phases += ([np.exp(1j * (W[..., c, None] * zeta)) for c in nl]
                        + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
-            keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L, axis=-1)
-                    & np.all(np.abs(M[..., nl]) <= L, axis=-1))
+            keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L * (1 - _TIE_SLACK), axis=-1)
+                    & np.all(np.abs(M[..., nl]) <= L * (1 + _TIE_SLACK), axis=-1))
         idx = [slice(None)] * (2 * d)
         idx[q], idx[d + q] = jq, kq
         ktensor[tuple(idx)] = np.where(keep, _contract_modes(val, phases), 0.0)

@@ -23,12 +23,14 @@ N at its gather and reads the same values off one N-point transform per
 difference axis. `multilinear_corner_loop` is
 the interpolating inverse's corner sum as it was first written, one masked
 pass per corner of the cell, 2^nd of them; the library gathers every corner
-at once and must match it bit for bit. `alpha_exponent_node_loop`,
-`psi_map_node_loop` and `pi_action_node_loop` run their Gauss-Legendre rules
-as first written, one group-law call per node, and
-`evaluate_potential_per_component` evaluates each component on its own; the
-library stacks the nodes of a rule on few points in one call, and its
-components share one power table, and must match them bit for bit.
+at once and must match it bit for bit. `alpha_exponent_node_loop` and
+`pi_action_node_loop` run their Gauss-Legendre rules as first written, one
+group-law call per node, and `evaluate_potential_per_component` evaluates
+each component on its own; the library stacks the nodes of a rule on few
+points in one call, and its components share one power table, and must
+match them bit for bit. `psi_map_node_loop` integrates the group law by
+its Gauss-Legendre rule, one call per node; the library's closed word sum
+must match it to round-off.
 """
 
 from math import ceil
@@ -119,8 +121,10 @@ def kernel_general_dense(ctx, a, rows=None):
     """The kernel of the symbol a for any class, by dense mode sums per row.
 
     Exact group-law midpoints and differences on every pair, the joint
-    spectrum in both slots, zero where |M| > L or |W| >= 2L; includes the
-    alpha factor. rows, an index array, restricts Y to those grid points.
+    spectrum in both slots, zero where |M| > L or |W| >= 2L, on the
+    nonlinear axes with the library's relative slack for round-off at exact
+    ties; includes the alpha factor. rows, an index array, restricts Y to
+    those grid points.
     """
     alg, grid = ctx.algebra, ctx.grid
     L = grid.box_half_width
@@ -129,6 +133,8 @@ def kernel_general_dense(ctx, a, rows=None):
     zeta = _mode_coords(wl._fine_dual_axis(grid), grid.dim)
     pts = wl._grid_points(ctx)
     n = pts.shape[0]
+    nl = wl._nonlinear_axes(alg)
+    lin = [i for i in range(grid.dim) if i not in nl]
     rows = np.arange(n) if rows is None else np.asarray(rows)
     K = np.empty((rows.size, n), dtype=complex)
     for i, row in enumerate(rows):
@@ -137,7 +143,10 @@ def kernel_general_dense(ctx, a, rows=None):
         M = -lie_core.psi_map(alg, W, -Yr)
         vals = np.einsum('pc,pc->p', np.exp(1j * (M @ chi.T)) @ J,
                          np.exp(1j * (W @ zeta.T)))
-        bad = np.any(np.abs(W) >= 2 * L, axis=-1) | np.any(np.abs(M) > L, axis=-1)
+        bad = (np.any(np.abs(W[:, lin]) >= 2 * L, axis=-1)
+               | np.any(np.abs(M[:, lin]) > L, axis=-1)
+               | np.any(np.abs(W[:, nl]) >= 2 * L * (1 - wl._TIE_SLACK), axis=-1)
+               | np.any(np.abs(M[:, nl]) > L * (1 + wl._TIE_SLACK), axis=-1))
         vals[bad] = 0.0
         K[i] = vals
     return K * alpha_matrix_dense(ctx, rows)

@@ -138,6 +138,18 @@ class TestConfigParsing:
         assert not (out / "kernel.bin").exists()
 
 
+    @pytest.mark.parametrize("algebra, potential", [
+        ("heisenberg:3", "heisenberg-linear:nan"), ("heisenberg:3", "heisenberg-linear:1e400"),
+        ("abelian:2", "landau:nan")], ids=["heisenberg-nan", "heisenberg-overflow", "landau-nan"])
+    def test_non_finite_preset_strength(self, tmp_path, capsys, algebra, potential):
+        cfg = write_config(tmp_path, algebra=algebra, potential=potential,
+                           grid={"N": 4, "L": 3.0}, symbol={"kind": "gaussian"})
+        out = tmp_path / "o"
+        assert run("build-kernel", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+        assert not (out / "kernel.bin").exists()
+
     @pytest.mark.parametrize("override", [
         {"algebra": {"dim": 1.4e16}}, {"algebra": "abelian:100000"},
         {"grid": {"N": 2, "L": 1e-300}},

@@ -22,6 +22,9 @@ HEIS5 = lc.algebra_preset("heisenberg:5")
 FIL = lc.algebra_preset("filiform3:4")
 AB2 = lc.algebra_preset("abelian:2")
 ALL_ALGS = [AB2, HEIS, HEIS5, FIL]
+# class 3: the filiform algebra on 5 axes, [e1, e_k] = e_{k+1}
+FIL5 = lc.algebra_from_dict({"dim": 5, "brackets": [
+    {"i": 1, "j": k, "coeffs": list(np.eye(5)[k])} for k in (2, 3, 4)]})
 
 
 def coords(alg, rng, n=None):
@@ -206,7 +209,8 @@ class TestPsiMaps:
 
     def test_round_trip_100_points(self):
         rng = np.random.default_rng(10)
-        for alg in (HEIS, FIL):
+        assert FIL5.nilpotency_class == 3
+        for alg in (HEIS, FIL, FIL5):
             V, Y = coords(alg, rng, 100), coords(alg, rng, 100)
             Z = lc.psi_map(alg, V, Y)
             back = lc.psi_inverse(alg, V, Z)
@@ -294,6 +298,7 @@ SPARSE_ALGS = {
     "heis-skew": HEIS_SKEW,
     "two-derived": DER2,
     "filiform34-quotient": lc.quotient_by_top_layer(FIL)[0],
+    "filiform5": FIL5,
 }
 FIL_DENSE = rebased(FIL, 41)
 GROUP_FNS = {
@@ -356,3 +361,39 @@ class TestBracketProgram:
         # a length-1 coordinate axis would otherwise broadcast silently
         with pytest.raises(ShapeError):
             lc.bch(HEIS, np.zeros((4, 1)), np.zeros((4, 1)))
+
+
+class TestPsiClosedForm:
+    """psi_map sums the integrated Dynkin words and psi_inverse corrects
+    class-many times; the quadrature's node loop is the reference."""
+
+    ALGS = {**{name: lc.algebra_preset(name) for name in
+               ["abelian:1", "abelian:2", "heisenberg:3", "heisenberg:5", "filiform3:4"]},
+            "heis-skew": HEIS_SKEW, "two-derived": DER2, "filiform34-dense": FIL_DENSE,
+            "filiform5": FIL5}
+
+    @pytest.mark.parametrize("alg", ALGS.values(), ids=ALGS.keys())
+    def test_matches_the_quadrature(self, alg):
+        rng = np.random.default_rng([50, alg.dim])
+        # a lone point, the node loop's batch bound // nodes and one more
+        # point, and past the bound; then rows of V against all of Y
+        nodes = -(-(alg.nilpotency_class + 2) // 2)
+        bound = lc._PAIR_BUDGET // 8
+        pairs = [rng.normal(size=(2, n, alg.dim)) for n in
+                 (1, bound // nodes, bound // nodes + 1, bound + 1)]
+        pairs.append((rng.normal(size=(7, 1, alg.dim)), rng.normal(size=(1, 9, alg.dim))))
+        for V, Y in pairs:
+            got, want = lc.psi_map(alg, V, Y), oracles.psi_map_node_loop(alg, V, Y)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+    def test_no_quadrature_and_no_quotient(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature or quotient algebra built")
+
+        for name in ("gauss_sum", "gauss01", "quotient_by_top_layer", "new_algebra"):
+            monkeypatch.setattr(lc, name, refuse)
+        rng = np.random.default_rng(51)
+        for alg in (AB2, HEIS, FIL, FIL5):
+            V, Z = coords(alg, rng, 5), coords(alg, rng, 5)
+            assert np.abs(lc.psi_map(alg, V, lc.psi_inverse(alg, V, Z)) - Z).max() < 1e-13
