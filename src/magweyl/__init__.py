@@ -1,6 +1,6 @@
 """Magnetic Weyl calculus on nilpotent Lie groups."""
 
-from . import cli, errors, lie_core, magnetic, symbol_space, weyl_calculus
+from . import errors, lie_core, magnetic, symbol_space, weyl_calculus
 from .errors import MagweylError
 
 __version__ = "0.1.0"

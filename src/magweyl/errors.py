@@ -21,10 +21,6 @@ class ClassTooLarge(MagweylError):
     """Nilpotency class exceeds the supported bound."""
 
 
-class AbelianHasNoQuotient(MagweylError):
-    """Quotient by the top layer is undefined for abelian algebras."""
-
-
 class BadGridSpec(MagweylError):
     """Grid parameters violate the even-N / positivity contract."""
 

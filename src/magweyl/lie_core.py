@@ -28,13 +28,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (
-    AbelianHasNoQuotient,
-    ClassTooLarge,
-    JacobiViolation,
-    NotNilpotent,
-    ShapeError,
-)
+from .errors import ClassTooLarge, JacobiViolation, NotNilpotent, ShapeError
 
 PIVOT_TOL = 1e-10
 JACOBI_TOL = 1e-12
@@ -390,26 +384,6 @@ def psi_map(alg, V, Y):
     if n > MAX_CLASS:
         raise ClassTooLarge(f"nilpotency class {n} exceeds supported bound {MAX_CLASS}")
     return _eval_words(alg, _psi_words(n + 1), Y, V)
-
-
-def quotient_by_top_layer(alg):
-    """Quotient by the central layer g_n, with projection and section.
-
-    Returns (quotient_algebra, q, iota) where q is the (m x dim) projection
-    matrix and iota the (dim x m) coordinate section, both in user-basis
-    coordinates, with q @ iota = identity on the quotient.
-    """
-    if alg.nilpotency_class == 0:
-        raise AbelianHasNoQuotient("abelian algebra has no top layer to remove")
-    m = alg.dim - alg.lcs_dims[-1]
-    change = alg.adapted_change_of_basis
-    inv = np.linalg.inv(change)
-    c_adapted = np.einsum('ia,jb,ijk,lk->abl', change, change,
-                          alg.structure_constants, inv)
-    quotient = new_algebra(m, c_adapted[:m, :m, :m])
-    q = inv[:m, :]
-    iota = change[:, :m]
-    return quotient, q, iota
 
 
 def psi_inverse(alg, V, Z):

@@ -360,8 +360,10 @@ def _preset_strength(kind, arg):
 def potential_preset(name, algebra):
     """Built-in potentials: 'zero', 'landau:<b>', 'heisenberg-linear:<b>'."""
     d = algebra.dim
-    kind, _, arg = name.partition(":")
+    kind, sep, arg = name.partition(":")
     if kind == "zero":
+        if sep:
+            raise ValueError(f"zero preset takes no argument, got {name!r}")
         return make_potential(algebra, [np.zeros((1,) * d) for _ in range(d)])
     if kind == "landau":
         if d != 2:

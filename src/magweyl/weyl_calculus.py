@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,10 +183,49 @@ def _alpha_bytes(ctx):
     return max(8 * n * n + max(magnetic._alpha_exponent_bytes(A, pairs), expand), 24 * n2)
 
 
-def _derived_axes(alg):
-    """Coordinate axes that receive bracket values ([g, g] support)."""
-    hit = np.abs(alg.structure_constants).sum(axis=(0, 1)) > 0
-    return [k for k in range(alg.dim) if hit[k]]
+class _AxisRoles(NamedTuple):
+    """The role of each coordinate axis under the brackets; lists, read only.
+
+    derived axes receive bracket values ([g, g] support) and regular ones do
+    not. nonlinear axes receive double-bracket values ([g, [g, g]] support):
+    off them, in any class, Y*(-Z) = Y - Z - [Y, Z]/2 and the group midpoint
+    is (Y+Z)/2; the higher Dynkin terms lie in [g, [g, g]]. A shiftable axis
+    c is derived and its bracket term reads regular coordinates only, so for
+    a kernel pair with midpoint m and difference delta the coordinate
+    w_c = delta_c - [delta, m]_c / 2 is the integer grid r_c h shifted by an
+    amount that the regular axes fix; a nonlinear axis never is. terms[c]
+    lists the (i, j, c_ijc) with c_ijc != 0, in np.nonzero order.
+    """
+
+    derived: list
+    regular: list
+    nonlinear: list
+    shiftable: list
+    terms: list
+
+    def require_shiftable(self):
+        """NotShiftable unless every derived axis is shiftable."""
+        # a bracket term that reads a derived axis scales it; no shift undoes it
+        stuck = ", ".join(f"x{c + 1}" for c in self.derived if c not in self.shiftable)
+        if stuck:
+            raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but "
+                               f"the brackets on {stuck} read derived axes; use a basis adapted "
+                               "to [g, g]")
+
+
+def _axes(alg):
+    """The axis roles of an algebra (`_AxisRoles`)."""
+    d, cstr = alg.dim, alg.structure_constants
+    terms = [[(int(i), int(j), float(cstr[i, j, c]))
+              for i, j in zip(*np.nonzero(cstr[:, :, c]))] for c in range(d)]
+    der = [c for c in range(d) if terms[c]]
+    hit = np.abs(np.einsum('jkm,iml->ijkl', cstr, cstr)).sum(axis=(0, 1, 2)) > 0
+    return _AxisRoles(
+        derived=der,
+        regular=[i for i in range(d) if i not in der],
+        nonlinear=[k for k in range(d) if hit[k]],
+        shiftable=[c for c in der if not any(i in der or j in der for i, j, _ in terms[c])],
+        terms=terms)
 
 
 def _pad_centred(values, axes):
@@ -404,42 +444,17 @@ def _parity_ramps(grid):
     return np.where(odd[None, :], np.exp(0.5j * grid.h * grid.axis_xi)[:, None], 1.0)
 
 
-def _nonlinear_axes(alg):
-    """Coordinate axes that receive double-bracket values ([g, [g, g]] support).
-
-    Off them, in any class, Y*(-Z) = Y - Z - [Y, Z]/2 and the group
-    midpoint is (Y+Z)/2; the higher Dynkin terms lie in [g, [g, g]].
-    """
-    c = alg.structure_constants
-    hit = np.abs(np.einsum('jkm,iml->ijkl', c, c)).sum(axis=(0, 1, 2)) > 0
-    return [k for k in range(alg.dim) if hit[k]]
-
-
-def _shiftable_axes(alg):
-    """Derived axes whose bracket term reads regular coordinates only.
-
-    On such an axis c every nonzero structure constant c_ijc has i and j
-    off the derived axes, so for a kernel pair with midpoint m and
-    difference delta the coordinate w_c = delta_c - [delta, m]_c / 2 is the
-    integer grid r_c h shifted by an amount that the regular axes fix. A
-    nonlinear axis is never shiftable: its bracket reads a derived axis.
-    """
-    cstr = alg.structure_constants
-    der = _derived_axes(alg)
-    return [c for c in der
-            if not any(i in der or j in der for i, j in zip(*np.nonzero(cstr[:, :, c])))]
-
-
 def _kernel_structured(ctx, a):
     """Dealphaed kernel for any class: on-grid differences, fine derived axes.
 
-    Off the derived axes w = Y*(-Z) has plain differences y_i - z_i, and off
-    the nonlinear axes (`_nonlinear_axes`) the midpoint (Y+Z)/2 lies on the
-    half-step grid, so those evaluations are exact interpolant values. A
-    nonlinear axis stays spectral in both slots: its N position modes and
-    2N difference modes are summed against the group law's midpoint and
-    difference on every pair, masked where |m| > L or |w| >= 2L, with exact
-    ties on the rule's side (`_TIE_SLACK`). Assembly runs in slabs of
+    Every axis role is read from one `_axes` record. Off the derived axes
+    w = Y*(-Z) has plain differences y_i - z_i, and off the nonlinear axes
+    the midpoint (Y+Z)/2 lies on the half-step grid, so those evaluations
+    are exact interpolant values. A nonlinear axis stays spectral in both
+    slots: its N position modes and 2N difference modes are summed against
+    the group law's midpoint and difference on every pair, masked where
+    |m| > L or |w| >= 2L, with exact ties on the rule's side
+    (`_TIE_SLACK`). Assembly runs in slabs of
     constant j - k along the first regular axis q, and consecutive slabs
     are built as one table, the slab an axis of it, as many as fit
     _PAIR_BUDGET entries (every slab of a one-dimensional group or of
@@ -451,12 +466,13 @@ def _kernel_structured(ctx, a):
     spectrum to 2N modes and transforms it to the half-step grid, read at
     j + k; so is the one axis of a one-dimensional group.
 
-    A shiftable derived axis c (`_shiftable_axes`) has w_c = r_c h - S_c,
-    r_c = j_c - k_c, where S_c = [delta, m]_c / 2 is fixed by the table's own
-    regular midpoints m and differences delta. Since h zeta_k = pi (k - N) / N,
-    the mode sum at every r_c at once is one 2N-point inverse transform of
-    the doubled window's spectrum times exp(-i zeta S_c) (the shift
-    theorem), masked where |r_c h - S_c| >= 2L and read at r_c by index.
+    A shiftable derived axis c has w_c = r_c h - S_c, r_c = j_c - k_c, where
+    S_c = [delta, m]_c / 2, one product per entry of the record's terms[c],
+    is fixed by the table's own regular midpoints m and differences delta.
+    Since h zeta_k = pi (k - N) / N, the mode sum at every r_c at once is
+    one 2N-point inverse transform of the doubled window's spectrum times
+    exp(-i zeta S_c) (the shift theorem), masked where |r_c h - S_c| >= 2L
+    and read at r_c by index.
     The other derived axes keep their doubled mode axis and are summed per
     pair against compiled phases (`_derived_phase`). With no regular axis
     no axis is shiftable, q is derived, and one slab over all (j_q, k_q)
@@ -470,14 +486,12 @@ def _kernel_structured(ctx, a):
     L, h, dxi = grid.box_half_width, grid.h, grid.dxi
     half = N // 2
     cstr = alg.structure_constants
-    der = _derived_axes(alg)
-    nl = _nonlinear_axes(alg)
-    reg = [i for i in range(d) if i not in der]
+    axes = _axes(alg)
+    der, reg, nl, shift = axes.derived, axes.regular, axes.nonlinear, axes.shiftable
     lin = [i for i in range(d) if i not in nl]
-    # the derived axes read by index after a shift transform, the derived
-    # half-step axes summed against per-pair phases, and the axes whose
-    # partial transform carries the doubled-grid spectrum
-    shift = _shiftable_axes(alg)
+    # the derived half-step axes summed against per-pair phases (the
+    # shiftable ones are read by index after a shift transform), and the
+    # axes whose partial transform carries the doubled-grid spectrum
     modal = [c for c in der if c not in nl + shift]
     fine = [c for c in der if c not in shift]
     # the position axes upsampled to 2N points (derived half-step axes, or the
@@ -517,7 +531,7 @@ def _kernel_structured(ctx, a):
     # estimate covers that whole call before anything is allocated
     tab = batch * table
     alpha = _alpha_bytes(ctx)
-    phase_tables = 2 * N ** 3 * sum(np.count_nonzero(cstr[:, :, c]) + 2 for c in modal)
+    phase_tables = 2 * N ** 3 * sum(len(axes.terms[c]) + 2 for c in modal)
     pairs = min(block, batch * N if reg else N * N) * (
         gathered + (gathered // (2 * N) if modal + nl else 0)
         + layout * (2 + 4 * N * len(modal) + (6 * N + 4 * d) * len(nl)))
@@ -591,8 +605,7 @@ def _kernel_structured(ctx, a):
     diff = {i: along(np.arange(N) - half, w_axis[i]) for i in reg[1:]}
     mid = {i: along(x, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
     # S_c = [delta, m]_c / 2 as (coefficient, i, j) terms
-    s_terms = [[(0.5 * h * cstr[i, j, c], i, j) for i, j in zip(*np.nonzero(cstr[:, :, c]))]
-               for c in shift]
+    s_terms = [[(0.5 * h * coef, i, j) for i, j, coef in axes.terms[c]] for c in shift]
     w_fine = (np.arange(2 * N) - N) * h
 
     def shift_offsets(rs):
@@ -778,15 +791,6 @@ def _interp_inverse(ctx, M):
     return G
 
 
-def _check_shiftable(alg):
-    """NotShiftable unless every derived axis is `_shiftable_axes`."""
-    # a bracket term that reads a derived axis scales it; no shift undoes it
-    stuck = ", ".join(f"x{c + 1}" for c in _derived_axes(alg) if c not in _shiftable_axes(alg))
-    if stuck:
-        raise NotShiftable(f"the class <= 1 inverse needs every derived axis shiftable, but the "
-                           f"brackets on {stuck} read derived axes; use a basis adapted to [g, g]")
-
-
 def _adjoint_bytes(grid):
     """Working memory of `_twostep_adjoint`, its input handed over: two
     kernel-sized tables at the peak of each stage (a gather step's input and
@@ -818,13 +822,13 @@ def _twostep_adjoint(ctx, M):
     N^{2d} entries. Exact up to band truncation at the box corners, so
     tail-level for symbols that decay inside the box. Only bracket shifts
     that read regular coordinates are undone, so every derived axis must be
-    `_shiftable_axes` (callers run `_check_shiftable` first). M is dropped
-    after the first gather step, so a caller that hands it over (as
-    `symbol_from_kernel` does) frees it there.
+    shiftable (callers run the `_axes` record's require_shiftable first).
+    M is dropped after the first gather step, so a caller that hands it
+    over (as `symbol_from_kernel` does) frees it there.
     """
-    alg, grid = ctx.algebra, ctx.grid
+    grid = ctx.grid
     d, N = grid.dim, grid.points_per_axis
-    der = _derived_axes(alg)
+    der = _axes(ctx.algebra).derived
 
     # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), one axis pair
     # at a time: the pairs with j - l = r are a diagonal of the (j, l) plane,
@@ -868,20 +872,19 @@ def _midpoint_table_to_symbol(ctx, bbar):
     times exp(-i xi s_c) it is that of the unshifted window folded onto
     |w| < L. Each difference axis is transformed once, on N points.
     """
-    alg, grid = ctx.algebra, ctx.grid
+    grid = ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
-    der = _derived_axes(alg)
-    reg = [i for i in range(d) if i not in der]
-    cstr = alg.structure_constants
+    axes = _axes(ctx.algebra)
+    der, reg = axes.derived, axes.regular
     x, xi = grid.axis_x, grid.axis_xi
     if der:
         centered_dft(bbar, [d + c for c in der], in_place=True)
     for c in der:
         # exp(-i xi s_c), s_c = [m, W]_c / 2 over the regular coordinates
         bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(
-            0.5 * cstr[i, j, c] * x.reshape((N,) + (1,) * (2 * d - 1 - i))
+            0.5 * coef * x.reshape((N,) + (1,) * (2 * d - 1 - i))
             * x.reshape((N,) + (1,) * (d - 1 - j))
-            for i, j in zip(*np.nonzero(cstr[:, :, c])) if i in reg and j in reg))
+            for i, j, coef in axes.terms[c] if i in reg and j in reg))
     if reg:
         centered_dft(bbar, [d + i for i in reg], in_place=True)
     bbar *= h ** d
@@ -902,7 +905,7 @@ def symbol_from_kernel(ctx, K):
         raise ShapeError("kernel grid does not match the context grid")
     table = 16 * K.values.size
     if ctx.algebra.nilpotency_class <= 1:
-        _check_shiftable(ctx.algebra)
+        _axes(ctx.algebra).require_shiftable()
         invert, beside = _twostep_adjoint, _adjoint_bytes(ctx.grid)
     else:
         invert, beside = _interp_inverse, table + _interp_bytes(ctx.grid)
@@ -951,10 +954,10 @@ def _half_transform_table(ctx, symbol, x_axes):
     """
     grid = ctx.grid
     d, N = grid.dim, grid.points_per_axis
-    der = _derived_axes(ctx.algebra)
-    reg = [i for i in range(d) if i not in der]
+    axes = _axes(ctx.algebra)
     values = symbol.values[np.ix_(*x_axes, *([np.arange(N)] * d))]
-    vals = _partial_transform(ctx, values, grid.dxi ** d, reg + der, der)
+    vals = _partial_transform(ctx, values, grid.dxi ** d, axes.regular + axes.derived,
+                              axes.derived)
     return np.ascontiguousarray(vals.reshape((-1,) + vals.shape[d:]))
 
 
@@ -1011,8 +1014,8 @@ def moyal_2step_point(ctx, a, b, X, xi):
     if not np.allclose(p_idx, np.round(p_idx), atol=1e-9):
         raise ShapeError("the probe point X must lie on the position grid")
 
-    der = _derived_axes(alg)
-    reg = [i for i in range(d) if i not in der]
+    axes = _axes(alg)
+    der, reg = axes.derived, axes.regular
     x, zeta = grid.axis_x, _fine_dual_axis(grid)
     cstr = alg.structure_constants
     pts = _grid_points(ctx)

@@ -133,7 +133,7 @@ def kernel_general_dense(ctx, a, rows=None):
     zeta = _mode_coords(wl._fine_dual_axis(grid), grid.dim)
     pts = wl._grid_points(ctx)
     n = pts.shape[0]
-    nl = wl._nonlinear_axes(alg)
+    nl = wl._axes(alg).nonlinear
     lin = [i for i in range(grid.dim) if i not in nl]
     rows = np.arange(n) if rows is None else np.asarray(rows)
     K = np.empty((rows.size, n), dtype=complex)
@@ -185,8 +185,8 @@ def kernel_twostep_upsampled(ctx, a):
     d, N = grid.dim, grid.points_per_axis
     L, dxi = grid.box_half_width, grid.dxi
     half = N // 2
-    der = wl._derived_axes(alg)
-    reg = [i for i in range(d) if i not in der]
+    axes = wl._axes(alg)
+    der, reg = axes.derived, axes.regular
     q = reg[0]
     b = (dxi / (2 * np.pi)) ** d * wl.centered_dft(a.values, range(d, 2 * d), inverse=True)
     b = wl._fine_spectrum(b, [d + ax for ax in der])
@@ -261,8 +261,8 @@ def symbol_adjoint_upsampled(ctx, M):
     alg, grid = ctx.algebra, ctx.grid
     d, N = grid.dim, grid.points_per_axis
     half = N // 2
-    der = wl._derived_axes(alg)
-    nc = [i for i in range(d) if i not in der]
+    axes = wl._axes(alg)
+    der, nc = axes.derived, axes.regular
     K = M.reshape((N,) * (2 * d))
     wsize = tuple(2 * N if i in der else N for i in range(d))
 
@@ -308,8 +308,8 @@ def midpoint_table_to_symbol_folded(ctx, bbar):
     alg, grid = ctx.algebra, ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     half = N // 2
-    der = wl._derived_axes(alg)
-    nc = [i for i in range(d) if i not in der]
+    axes = wl._axes(alg)
+    der, nc = axes.derived, axes.regular
     if der:
         x = grid.axis_x
         cstr = alg.structure_constants
@@ -437,8 +437,8 @@ def moyal_point_dense(ctx, a, b, X, xi):
     half = N // 2
     X = np.asarray(X, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    der = wl._derived_axes(ctx.algebra)
-    reg = [i for i in range(d) if i not in der]
+    axes = wl._axes(ctx.algebra)
+    der, reg = axes.derived, axes.regular
     Ca = wl._half_transform_table(ctx, a, [np.arange(N)] * d)
     Cb = wl._half_transform_table(ctx, b, [np.arange(N)] * d)
     zeta = wl._fine_dual_axis(grid)

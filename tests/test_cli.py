@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -150,6 +153,16 @@ class TestConfigParsing:
         assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
         assert not (out / "kernel.bin").exists()
 
+    def test_zero_preset_with_a_suffix(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, algebra="abelian:2", potential="zero:junk",
+                           grid={"N": 4, "L": 3.0}, symbol={"kind": "gaussian"})
+        out = tmp_path / "o"
+        assert run("build-kernel", "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+        assert "zero:junk" in err
+        assert not (out / "kernel.bin").exists()
+
     @pytest.mark.parametrize("override", [
         {"algebra": {"dim": 1.4e16}}, {"algebra": "abelian:100000"},
         {"grid": {"N": 2, "L": 1e-300}},
@@ -193,6 +206,20 @@ class TestVerifyAlgebra:
         names = {c["check"] for c in report["checks"]}
         assert names == {"bch-associativity", "bch-inverse-identity",
                          "psi-round-trip", "psi-jacobian-unimodular"}
+
+    def test_module_entry_point_runs_once(self, tmp_path):
+        # the package does not import its cli, so `-m` finds no stale copy
+        # of the module in sys.modules and runpy raises no RuntimeWarning
+        cfg = write_config(tmp_path, algebra="abelian:2")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "magweyl.cli",
+             "verify-algebra", "--config", cfg, "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["overall_pass"]
 
     def test_broken_jacobi_surfaced(self, tmp_path, capsys):
         # [e1,e2]=e3, [e1,e3]=e2 violates Jacobi closure under nilpotency

@@ -6,25 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_weyl_calculus import DER2, HEIS_SKEW
+from test_weyl_calculus import DER2, FIL5, HEIS_SKEW
 
 from magweyl import lie_core as lc
-from magweyl.errors import (
-    AbelianHasNoQuotient,
-    ClassTooLarge,
-    JacobiViolation,
-    NotNilpotent,
-    ShapeError,
-)
+from magweyl.errors import ClassTooLarge, JacobiViolation, NotNilpotent, ShapeError
 
 HEIS = lc.algebra_preset("heisenberg:3")
 HEIS5 = lc.algebra_preset("heisenberg:5")
 FIL = lc.algebra_preset("filiform3:4")
 AB2 = lc.algebra_preset("abelian:2")
 ALL_ALGS = [AB2, HEIS, HEIS5, FIL]
-# class 3: the filiform algebra on 5 axes, [e1, e_k] = e_{k+1}
-FIL5 = lc.algebra_from_dict({"dim": 5, "brackets": [
-    {"i": 1, "j": k, "coeffs": list(np.eye(5)[k])} for k in (2, 3, 4)]})
 
 
 def coords(alg, rng, n=None):
@@ -241,34 +232,6 @@ class TestPsiMaps:
                 assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
 
-class TestQuotient:
-    def test_heisenberg_quotient_is_abelian_plane(self):
-        quot, q, iota = lc.quotient_by_top_layer(HEIS)
-        assert quot.dim == 2 and quot.nilpotency_class == 0
-        assert np.allclose(q @ iota, np.eye(2))
-
-    def test_filiform_quotient_keeps_first_bracket(self):
-        quot, q, iota = lc.quotient_by_top_layer(FIL)
-        assert quot.dim == 3 and quot.nilpotency_class == 1
-        assert np.allclose(q @ iota, np.eye(3))
-        qe1, qe2 = q @ np.eye(4)[0], q @ np.eye(4)[1]
-        qe3 = q @ np.eye(4)[2]
-        assert np.allclose(lc.bracket(quot, qe1, qe2), qe3, atol=1e-12)
-
-    def test_projection_is_group_homomorphism(self):
-        rng = np.random.default_rng(13)
-        for alg in (HEIS, HEIS5, FIL):
-            quot, q, _ = lc.quotient_by_top_layer(alg)
-            X, Y = coords(alg, rng, 50), coords(alg, rng, 50)
-            lhs = lc.bch(alg, X, Y) @ q.T
-            rhs = lc.bch(quot, X @ q.T, Y @ q.T)
-            assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_abelian_raises(self):
-        with pytest.raises(AbelianHasNoQuotient):
-            lc.quotient_by_top_layer(AB2)
-
-
 class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -297,7 +260,9 @@ SPARSE_ALGS = {
     "filiform34": FIL,
     "heis-skew": HEIS_SKEW,
     "two-derived": DER2,
-    "filiform34-quotient": lc.quotient_by_top_layer(FIL)[0],
+    # filiform3:4 modulo its centre: [e1, e2] = -e3
+    "filiform34-quotient": lc.algebra_from_dict({"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "coeffs": [0, 0, -1]}]}),
     "filiform5": FIL5,
 }
 FIL_DENSE = rebased(FIL, 41)
@@ -391,7 +356,7 @@ class TestPsiClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("quadrature or quotient algebra built")
 
-        for name in ("gauss_sum", "gauss01", "quotient_by_top_layer", "new_algebra"):
+        for name in ("gauss_sum", "gauss01", "new_algebra"):
             monkeypatch.setattr(lc, name, refuse)
         rng = np.random.default_rng(51)
         for alg in (AB2, HEIS, FIL, FIL5):

@@ -72,6 +72,9 @@ class TestMakePotential:
             mg.potential_preset("nosuch", AB2)
         with pytest.raises(ValueError):
             mg.potential_preset("landau:1.0", HEIS)
+        for name in ("zero:junk", "zero:"):
+            with pytest.raises(ValueError, match="zero preset takes no argument"):
+                mg.potential_preset(name, AB2)
 
 
 class TestPolynomialHelpers:

@@ -21,6 +21,9 @@ FIL = lc.algebra_preset("filiform3:4")
 DER2 = lc.algebra_from_dict({"dim": 5, "brackets": [
     {"i": 1, "j": 2, "coeffs": [0, 0, 0, 1, 0]},
     {"i": 1, "j": 3, "coeffs": [0, 0, 0, 0, 1]}]})
+# class 3: the filiform algebra on 5 axes, [e1, e_k] = e_{k+1}
+FIL5 = lc.algebra_from_dict({"dim": 5, "brackets": [
+    {"i": 1, "j": k, "coeffs": list(np.eye(5)[k])} for k in (2, 3, 4)]})
 # Heisenberg:3 in the basis e1, e2, e1 + e2 + e3: every bracket touches
 # every coordinate, so no axis is regular
 HEIS_SKEW = lc.algebra_from_dict({"dim": 3, "brackets": [
@@ -234,7 +237,6 @@ class TestKernelMap:
         # the class <= 1 inverse cannot undo by a shift; the forward map is
         # fine (its oracle tests) and the inverse refuses, naming the axes
         ctx = zero_ctx(alg, 4, 3.0)
-        assert wl._shiftable_axes(alg) != wl._derived_axes(alg)
         K = wl.kernel_from_symbol(ctx, boxed_gaussian(ctx.grid))
         with pytest.raises(NotShiftable, match=f"brackets on {stuck} read derived axes"):
             wl.symbol_from_kernel(ctx, K)
@@ -409,7 +411,6 @@ class TestDenseOracles:
         # every axis derived: one slab over all (j_q, k_q) pairs on axis q
         A = random_potential(HEIS_SKEW, np.random.default_rng(45), degree=1)
         ctx = wl.make_context(HEIS_SKEW, A, sp.make_grid(3, 4, 3.0))
-        assert wl._derived_axes(HEIS_SKEW) == [0, 1, 2]
         a = boxed_gaussian(ctx.grid, centers_x=[0.2, -0.1, 0.1],
                            centers_xi=[0.1, 0.0, -0.2])
         K = wl.kernel_from_symbol(ctx, a)
@@ -423,27 +424,51 @@ class TestDenseOracles:
         Y, Z = rng.uniform(-3.0, 3.0, size=(2, 1000, alg.dim))
         W = lc.bch(alg, Y, -Z)
         M = -lc.psi_map(alg, W, -Y)
-        off = [i for i in range(alg.dim) if i not in wl._nonlinear_axes(alg)]
-        assert wl._nonlinear_axes(alg) == ([3] if alg is FIL else [])
+        off = [i for i in range(alg.dim) if i not in wl._axes(alg).nonlinear]
         assert np.abs((W - (Y - Z - lc.bracket(alg, Y, Z) / 2))[:, off]).max() < 1e-12
         assert np.abs((M - (Y + Z) / 2)[:, off]).max() < 1e-12
 
-    @pytest.mark.parametrize("alg, shiftable", [(HEIS, [2]), (DER2, [3, 4]), (FIL, [2]),
-                                                (HEIS_SKEW, [])],
+    @pytest.mark.parametrize("alg, modal", [(HEIS, 0), (DER2, 0), (FIL, 0), (HEIS_SKEW, 3)],
                              ids=["heisenberg3", "two-derived", "filiform", "heisenberg3-skew"])
-    def test_shiftable_axes_skip_the_per_pair_phases(self, alg, shiftable, monkeypatch):
+    def test_shiftable_axes_skip_the_per_pair_phases(self, alg, modal, monkeypatch):
         # a derived axis whose bracket reads regular axes only is read by
-        # index after one shift transform per slab; the others keep their
-        # compiled per-pair phases
-        assert wl._shiftable_axes(alg) == shiftable
+        # index after one shift transform per slab; the others off the
+        # nonlinear axes keep their compiled per-pair phases
         calls = []
         phase = wl._derived_phase
         monkeypatch.setattr(wl, "_derived_phase", lambda *args: calls.append(1) or phase(*args))
         ctx = zero_ctx(alg, 2, 3.0)
         wl._kernel_structured(ctx, boxed_gaussian(ctx.grid))
-        modal = [c for c in wl._derived_axes(alg)
-                 if c not in shiftable + wl._nonlinear_axes(alg)]
-        assert len(calls) == len(modal)
+        assert len(calls) == modal
+
+    ROLES = {
+        "abelian2": (AB2, [], [0, 1], [], []),
+        "heisenberg3": (HEIS, [2], [0, 1], [], [2]),
+        "heisenberg5": (lc.algebra_preset("heisenberg:5"), [4], [0, 1, 2, 3], [], [4]),
+        "filiform": (FIL, [2, 3], [0, 1], [3], [2]),
+        "filiform5": (FIL5, [2, 3, 4], [0, 1], [3, 4], [2]),
+        "two-derived": (DER2, [3, 4], [0, 1, 2], [], [3, 4]),
+        "heisenberg3-skew": (HEIS_SKEW, [0, 1, 2], [], [], []),
+        "heisenberg3-tilt": (HEIS_TILT, [0, 2], [1], [], []),
+    }
+
+    @pytest.mark.parametrize("alg, derived, regular, nonlinear, shiftable", ROLES.values(),
+                             ids=ROLES.keys())
+    def test_axis_roles(self, alg, derived, regular, nonlinear, shiftable):
+        # derived and nonlinear axes are where brackets and double brackets
+        # of generic elements land, above round-off (in the skew basis a
+        # double bracket cancels inexactly); a shiftable axis's terms read
+        # regular axes only
+        axes = wl._axes(alg)
+        assert (axes.derived, axes.regular, axes.nonlinear, axes.shiftable) == (
+            derived, regular, nonlinear, shiftable)
+        cstr = alg.structure_constants
+        assert axes.terms == [[(i, j, cstr[i, j, c]) for i, j in zip(*np.nonzero(cstr[:, :, c]))]
+                              for c in range(alg.dim)]
+        X, Y, Z = np.random.default_rng(48).normal(size=(3, 20, alg.dim))
+        B = lc.bracket(alg, X, Y)
+        for vals, want in ((B, derived), (lc.bracket(alg, Z, B), nonlinear)):
+            assert np.flatnonzero(np.abs(vals).max(axis=0) > 1e-12).tolist() == want
 
     @staticmethod
     def moyal_pair(ctx, jx, xi):
@@ -543,7 +568,7 @@ class TestDenseOracles:
         }[case]
         ctx = zero_ctx(alg, N, L)
         d = alg.dim
-        der = wl._derived_axes(alg)
+        der = wl._axes(alg).derived
         # a random table, off the range of the forward map, with the
         # doubled windows on the derived axes
         shape = (N,) * d + tuple(2 * N if i in der else N for i in range(d))
