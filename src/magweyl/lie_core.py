@@ -45,16 +45,13 @@ class NilpotentLieAlgebra:
     two-step algebras (Heisenberg) have class 1. Much of the literature calls
     these classes 1 and 2; here class n means brackets of word length n + 2
     vanish. lcs_dims lists the dimensions of the lower central series
-    g = g_0 > g_1 > ... > g_n. The columns of adapted_change_of_basis are a
-    basis of g whose last lcs_dims[k] columns span g_k for every k; in
-    particular the last block spans the central layer g_n.
+    g = g_0 > g_1 > ... > g_n.
     """
 
     dim: int
     structure_constants: np.ndarray
     nilpotency_class: int
     lcs_dims: list[int]
-    adapted_change_of_basis: np.ndarray
     _program: tuple = field(default=None, repr=False)
 
 
@@ -73,8 +70,6 @@ def _row_reduce(rows, tol=PIVOT_TOL):
 
 def _bracket_span(c, basis):
     """Span of [g, V] for V spanned by the rows of `basis`."""
-    if basis.shape[0] == 0:
-        return basis
     # [e_i, v] for every generator e_i and basis row v
     prods = np.einsum('ijk,rj->irk', c, basis).reshape(-1, c.shape[0])
     return _row_reduce(prods)
@@ -85,9 +80,8 @@ def new_algebra(dim, structure_constants):
 
     Checks antisymmetry and the Jacobi identity, computes the lower central
     series by iterated bracket spans (rank decisions via row reduction with
-    pivot threshold 1e-10), derives the nilpotency class, and assembles a
-    change of basis adapted to the series. Raises NotNilpotent when the
-    series stabilizes at a nonzero subspace.
+    pivot threshold 1e-10) and derives the nilpotency class. Raises
+    NotNilpotent when the series stabilizes at a nonzero subspace.
     """
     c = np.asarray(structure_constants, dtype=float)
     if c.shape != (dim, dim, dim):
@@ -115,22 +109,7 @@ def new_algebra(dim, structure_constants):
     # series = [g_0, g_1, ..., g_n, g_{n+1} = 0]
     nclass = len(series) - 2
     lcs_dims = [b.shape[0] for b in series[:-1]]
-
-    # Flag-adapted basis: walk the series from the deepest layer outward so
-    # that for every k the last lcs_dims[k] columns span g_k.
-    chosen = []
-    echelon = []
-    for level in range(nclass, -1, -1):
-        for row in series[level]:
-            red = row.copy()
-            for b in echelon:
-                j = int(np.argmax(np.abs(b)))
-                red = red - b * (red[j] / b[j])
-            if np.max(np.abs(red), initial=0.0) > PIVOT_TOL:
-                chosen.append(row)
-                echelon.append(red / np.max(np.abs(red)))
-    change = np.array(chosen[::-1]).T  # columns, deepest layer last
-    return NilpotentLieAlgebra(dim, c, nclass, lcs_dims, change)
+    return NilpotentLieAlgebra(dim, c, nclass, lcs_dims)
 
 
 _BRACKET_WORD = ((1.0, (0, 1)),)
@@ -402,18 +381,25 @@ def psi_inverse(alg, V, Z):
     return Y
 
 
+def _preset_dim(name, form, ok):
+    """The dimension after the colon of a preset name, if ok(dimension) holds."""
+    try:
+        d = int(name.partition(":")[2])
+    except ValueError:
+        d = None
+    if d is None or not ok(d):
+        raise ValueError(f"algebra preset {name!r} does not have the form {form}")
+    return d
+
+
 def algebra_preset(name):
     """Built-in algebras: 'abelian:<d>', 'heisenberg:<2k+1>', 'filiform3:4'."""
-    kind, _, arg = name.partition(":")
+    kind = name.partition(":")[0]
     if kind == "abelian":
-        d = int(arg)
-        if d < 1:
-            raise ValueError(f"abelian dimension must be positive, got {d}")
+        d = _preset_dim(name, "'abelian:<d>' with d >= 1", lambda d: d >= 1)
         return new_algebra(d, np.zeros((d, d, d)))
     if kind == "heisenberg":
-        d = int(arg)
-        if d < 3 or d % 2 == 0:
-            raise ValueError(f"heisenberg dimension must be odd and >= 3, got {d}")
+        d = _preset_dim(name, "'heisenberg:<2k+1>' with k >= 1", lambda d: d >= 3 and d % 2)
         k = (d - 1) // 2
         c = np.zeros((d, d, d))
         for i in range(k):

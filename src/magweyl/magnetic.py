@@ -350,17 +350,23 @@ def alpha_phase(A, Y, Z):
     return np.exp(1j * alpha_exponent(A, Y, Z))
 
 
-def _preset_strength(kind, arg):
-    b = float(arg)
+def _preset_strength(name):
+    """The strength b after the colon of a preset name, if it is finite."""
+    kind, _, arg = name.partition(":")
+    try:
+        b = float(arg)
+    except ValueError:
+        b = np.nan
     if not np.isfinite(b):
-        raise ValueError(f"{kind} strength must be finite, got {arg!r}")
+        raise ValueError(f"potential preset {name!r} does not have the form "
+                         f"'{kind}:<b>' with a finite number b")
     return b
 
 
 def potential_preset(name, algebra):
     """Built-in potentials: 'zero', 'landau:<b>', 'heisenberg-linear:<b>'."""
     d = algebra.dim
-    kind, sep, arg = name.partition(":")
+    kind, sep, _ = name.partition(":")
     if kind == "zero":
         if sep:
             raise ValueError(f"zero preset takes no argument, got {name!r}")
@@ -368,14 +374,14 @@ def potential_preset(name, algebra):
     if kind == "landau":
         if d != 2:
             raise ValueError(f"landau preset needs a 2-dimensional algebra, got dim {d}")
-        b = _preset_strength(kind, arg)
+        b = _preset_strength(name)
         tables = [np.zeros((2, 2)) for _ in range(2)]
         tables[1][1, 0] = b  # A = (0, b x_1)
         return make_potential(algebra, tables)
     if kind == "heisenberg-linear":
         if d != 3:
             raise ValueError(f"heisenberg-linear preset needs dimension 3, got {d}")
-        b = _preset_strength(kind, arg)
+        b = _preset_strength(name)
         tables = [np.zeros((2, 2, 2)) for _ in range(3)]
         tables[1][1, 0, 0] = b  # A = (0, b x_1, 0)
         return make_potential(algebra, tables)

@@ -101,6 +101,23 @@ class ConfigField:
         return g.h ** g.dim if self.space == "g" else g.dxi ** g.dim
 
 
+class IntegralKernel:
+    """Kernel matrix on the position grid: rows indexed by Y, columns by Z."""
+
+    def __init__(self, grid, values):
+        values = np.asarray(values, dtype=complex)
+        n = grid.points_per_axis ** grid.dim
+        if values.shape != (n, n):
+            raise ShapeError(f"kernel must be a {n} x {n} matrix, got {values.shape}")
+        self.grid = grid
+        self.values = values
+
+    @property
+    def cell_volume(self):
+        g = self.grid
+        return g.h ** (2 * g.dim)
+
+
 def coordinate_mesh(grid, dual=False):
     """Stacked coordinates of every grid node, shape (N,)*d + (d,)."""
     axis = grid.axis_xi if dual else grid.axis_x
@@ -268,7 +285,7 @@ def _field_kind(field):
         return "symbol"
     if isinstance(field, ConfigField):
         return "config" if field.space == "g" else "config_dual"
-    if type(field).__name__ == "IntegralKernel":
+    if isinstance(field, IntegralKernel):
         return "kernel"
     raise ShapeError(f"cannot serialize {type(field).__name__}")
 
@@ -317,7 +334,5 @@ def load_field(path):
     if kind == "config_dual":
         return ConfigField(grid, values, space="gstar")
     if kind == "kernel":
-        from .weyl_calculus import IntegralKernel
-
         return IntegralKernel(grid, values.reshape(n ** d, n ** d))
     raise ShapeError(f"unknown field kind {kind!r}")

@@ -39,7 +39,8 @@ import numpy as np
 from . import lie_core, magnetic
 from .errors import NotShiftable, ShapeError, WrongClass
 from .lie_core import _PAIR_BUDGET
-from .symbol_space import ConfigField, SymbolField, centered_dft, coordinate_mesh, fourier_g
+from .symbol_space import (ConfigField, IntegralKernel, SymbolField, centered_dft, coordinate_mesh,
+                           fourier_g)
 
 TWO_PI = 2.0 * np.pi
 _MAX_WORK_BYTES = 1.2e9
@@ -48,23 +49,6 @@ _MAX_WORK_BYTES = 1.2e9
 # 1.2e-15 L and the nearest non-tie 4.6e-3 of the bound (filiform3:4, L = 3,
 # N = 2, 4 and 6, against exact rational midpoints)
 _TIE_SLACK = 1e-9
-
-
-class IntegralKernel:
-    """Kernel matrix on the position grid: rows indexed by Y, columns by Z."""
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=complex)
-        n = grid.points_per_axis ** grid.dim
-        if values.shape != (n, n):
-            raise ShapeError(f"kernel must be a {n} x {n} matrix, got {values.shape}")
-        self.grid = grid
-        self.values = values
-
-    @property
-    def cell_volume(self):
-        g = self.grid
-        return g.h ** (2 * g.dim)
 
 
 @dataclass(eq=False)
@@ -871,6 +855,8 @@ def _midpoint_table_to_symbol(ctx, bbar):
     modes of the doubled window's 2N-point spectrum (frequency sampling), so
     times exp(-i xi s_c) it is that of the unshifted window folded onto
     |w| < L. Each difference axis is transformed once, on N points.
+    Callers run the `_axes` record's require_shiftable first, so every
+    bracket term reads regular axes only and at least one axis is regular.
     """
     grid = ctx.grid
     d, N, h = grid.dim, grid.points_per_axis, grid.h
@@ -884,9 +870,8 @@ def _midpoint_table_to_symbol(ctx, bbar):
         bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(
             0.5 * coef * x.reshape((N,) + (1,) * (2 * d - 1 - i))
             * x.reshape((N,) + (1,) * (d - 1 - j))
-            for i, j, coef in axes.terms[c] if i in reg and j in reg))
-    if reg:
-        centered_dft(bbar, [d + i for i in reg], in_place=True)
+            for i, j, coef in axes.terms[c]))
+    centered_dft(bbar, [d + i for i in reg], in_place=True)
     bbar *= h ** d
     return bbar
 

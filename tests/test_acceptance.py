@@ -1,4 +1,4 @@
-"""Acceptance gate: nine structural checks at desk scale, pinned tolerances.
+"""Acceptance gate: ten checks at desk scale, pinned tolerances.
 
 Each test prints one summary line so the run log shows every criterion's
 measured value next to its tolerance. Where `magweyl suite` or
@@ -167,3 +167,30 @@ def test_acceptance_9_moyal_gauge_invariance():
     diff2 = sp.SymbolField(grid2, p2.values - p1.values)
     gap = max(gap, sp.l2_norm(diff2) / sp.l2_norm(p1))
     report(9, "moyal-gauge-invariance", gap, 1e-6)
+
+
+def test_acceptance_10_fock_darwin_spectrum():
+    # the quantization of |xi|^2 + w^2 |x|^2 in the constant field B is the
+    # Fock-Darwin Hamiltonian, levels (2n + |m| + 1) 2 Omega - m B with
+    # Omega = sqrt(w^2 + B^2 / 4), n >= 0, m in Z
+    ab2 = lc.algebra_preset("abelian:2")
+    grid = sp.make_grid(2, 32, 8.0)
+    B, w = 1.0, 0.5
+    h = sp.sample_symbol(lambda X, Xi: (Xi[..., 0] ** 2 + Xi[..., 1] ** 2
+                                        + w ** 2 * (X[..., 0] ** 2 + X[..., 1] ** 2)), grid)
+
+    def lowest(A):
+        K = grid.h ** 2 * wl.kernel_from_symbol(wl.make_context(ab2, A, grid), h).values
+        return np.linalg.eigvalsh((K + K.conj().T) / 2)[:10]
+
+    landau = lowest(mg.potential_preset("landau:1", ab2))
+    n, m = np.meshgrid(np.arange(10), np.arange(-40, 41), indexing="ij")
+    levels = np.sort(((2 * n + abs(m) + 1) * 2 * np.hypot(w, B / 2) - m * B).ravel())[:10]
+    report(10, "fock-darwin-spectrum", np.max(np.abs(landau - levels) / levels), 1e-5)
+
+    tables = [np.zeros((2, 2)), np.zeros((2, 2))]
+    tables[0][0, 1] = -B / 2
+    tables[1][1, 0] = B / 2  # the symmetric gauge A = (-B x2 / 2, B x1 / 2)
+    symmetric = lowest(mg.make_potential(ab2, tables))
+    report(10, "fock-darwin-gauge-invariance",
+           np.max(np.abs(symmetric - landau) / landau), 1e-11)

@@ -194,6 +194,86 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
 
+    BRANCHES = {
+        # config: run-level entries and flags
+        "config-a-list": ("build-kernel", [1, 2], [], "config must be a JSON object"),
+        "out-a-number": ("build-kernel", {"out": 3}, [], "'out'"),
+        "seed-a-fraction": ("build-kernel", {"seed": 1.5}, [], "'seed'"),
+        "verify-algebra-without-algebra": ("verify-algebra", {"algebra": None}, [],
+                                           "needs an 'algebra' entry"),
+        "suites-flag-empty": ("suite", {}, ["--suites", ","], "no suites selected"),
+        "threads-flag-zero": ("build-kernel", {}, ["--threads", "0"], "thread count"),
+        "seed-flag-negative": ("suite", {}, ["--seed", "-1"], "--seed must be >= 0"),
+        # algebra
+        "algebra-file-a-list": ("build-kernel", {"algebra": {"file": "list.json"}}, [],
+                                "inline algebra must be an object"),
+        "brackets-a-number": ("build-kernel", {"algebra": {"dim": 3, "brackets": 5}}, [],
+                              "'brackets'"),
+        "bracket-without-coeffs": ("build-kernel", {"algebra": {
+            "dim": 3, "brackets": [{"i": 1, "j": 2}]}}, [], "'coeffs'"),
+        "bracket-index-4-on-dim-3": ("build-kernel", {"algebra": {
+            "dim": 3, "brackets": [{"i": 1, "j": 4, "coeffs": [0, 0, 1]}]}}, [],
+            "bracket indices"),
+        "bracket-coeff-nan": ("build-kernel", {"algebra": {
+            "dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, float("nan")]}]}}, [],
+            "finite numbers"),
+        "heisenberg-without-dim": ("build-kernel", {"algebra": "heisenberg"}, [],
+                                   "preset 'heisenberg' does not have the form "
+                                   "'heisenberg:<2k+1>'"),
+        "abelian-dim-not-a-number": ("build-kernel", {"algebra": "abelian:x"}, [],
+                                     "preset 'abelian:x' does not have the form "
+                                     "'abelian:<d>'"),
+        # potential, on heisenberg:3
+        "one-component-on-dim-3": ("build-kernel", {"potential": {"components": [[]]}}, [],
+                                   "a list of 3 term lists"),
+        "component-a-number": ("build-kernel", {"potential": {"components": [5, [], []]}}, [],
+                               "component must be a list"),
+        "term-without-exponents": ("build-kernel", {"potential": {
+            "components": [[{"coeff": 0.4}], [], []]}}, [], "'exponents'"),
+        "coeff-infinity": ("build-kernel", {"potential": {
+            "components": [[{"exponents": [1, 0, 0], "coeff": float("inf")}], [], []]}}, [],
+            "finite numbers"),
+        "potential-a-number": ("build-kernel", {"potential": 3}, [], "potential spec"),
+        "landau-strength-not-a-number": ("build-kernel", {
+            "algebra": "abelian:2", "potential": "landau:abc"}, [],
+            "preset 'landau:abc' does not have the form 'landau:<b>'"),
+        # symbol
+        "gaussian-with-linear-x": ("build-kernel", {"symbol": {
+            "kind": "gaussian", "linear_x": [1, 0, 0]}}, [], "kind 'poly-gaussian'"),
+    }
+
+    @pytest.mark.parametrize("case", BRANCHES)
+    def test_each_config_error_branch(self, tmp_path, capsys, monkeypatch, case):
+        command, override, argv, says = self.BRANCHES[case]
+        body = {"algebra": "heisenberg:3", "grid": {"N": 4, "L": 3.0},
+                "symbol": {"kind": "gaussian"}, "suites": ["fourier"]}
+        if isinstance(override, dict):  # an entry None drops that key
+            body = {k: v for k, v in {**body, **override}.items() if v is not None}
+        else:
+            body = override  # the whole config
+        monkeypatch.chdir(tmp_path)
+        Path("list.json").write_text("[1]")
+        Path("cfg.json").write_text(json.dumps(body))
+        assert run(command, "--config", "cfg.json", "--out", "o", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ") and len(err.strip().splitlines()) == 1
+        assert says in err
+        assert not Path("o/report.json").exists() and not Path("o/kernel.bin").exists()
+
+    def test_algebra_and_potential_from_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        heis = lc.algebra_preset("heisenberg:3")
+        Path("algebra.json").write_text(json.dumps(
+            {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1]}]}))
+        Path("potential.json").write_text(json.dumps(
+            mg.potential_to_dict(mg.potential_preset("heisenberg-linear:0.4", heis))))
+        cfg = write_config(tmp_path, algebra={"file": "algebra.json"})
+        assert run("verify-algebra", "--config", cfg, "--out", "a") == 0
+        cfg = write_config(tmp_path, algebra="heisenberg:3", potential={"file": "potential.json"},
+                           grid={"N": 4, "L": 3.0}, symbol={"kind": "gaussian"})
+        assert run("build-kernel", "--config", cfg, "--out", "p") == 0
+        assert Path("p/kernel.bin").exists()
+
 
 class TestVerifyAlgebra:
     @pytest.mark.parametrize("preset", ["abelian:2", "heisenberg:3", "filiform3:4"])

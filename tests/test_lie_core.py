@@ -37,13 +37,6 @@ class TestNewAlgebra:
         assert FIL.nilpotency_class == 2
         assert FIL.lcs_dims == [4, 2, 1]
 
-    def test_adapted_basis_last_block_is_central(self):
-        for alg in (HEIS, HEIS5, FIL):
-            top = alg.adapted_change_of_basis[:, alg.dim - alg.lcs_dims[-1]:]
-            # central layer brackets to zero with everything
-            prods = np.einsum('ijk,ja->iak', alg.structure_constants, top)
-            assert np.abs(prods).max() < 1e-12
-
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeError):
             lc.new_algebra(3, np.zeros((3, 3, 2)))
