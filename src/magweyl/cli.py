@@ -143,16 +143,14 @@ def _inline_potential(data, algebra):
 
 def _algebra_from_spec(spec):
     if isinstance(spec, str):
+        # the dimension is checked before the preset allocates its d^3 constants
         try:
-            dim = int(spec.partition(":")[2])
-        except ValueError:
-            dim = None  # no dimension in the name; algebra_preset judges it
-        if dim is not None and dim > MAX_DIM:
-            raise ConfigError(f"algebra dimension above {MAX_DIM}: {spec!r}")
-        try:
-            return lie_core.algebra_preset(spec)
+            dim = lie_core.preset_dim(spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if dim > MAX_DIM:
+            raise ConfigError(f"algebra dimension above {MAX_DIM}: {spec!r}")
+        return lie_core.algebra_preset(spec)
     if isinstance(spec, dict):
         if "file" in spec:
             return _inline_algebra(_read_json(spec["file"], "algebra file"))

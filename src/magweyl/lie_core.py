@@ -381,10 +381,28 @@ def psi_inverse(alg, V, Z):
     return Y
 
 
-def _preset_dim(name, form, ok):
-    """The dimension after the colon of a preset name, if ok(dimension) holds."""
+# the presets with a dimension suffix: the form they expect, and the test
+# the dimension must pass
+_PRESET_FORMS = {
+    "abelian": ("'abelian:<d>' with d >= 1", lambda d: d >= 1),
+    "heisenberg": ("'heisenberg:<2k+1>' with k >= 1", lambda d: d >= 3 and d % 2 == 1),
+}
+
+
+def preset_dim(name):
+    """The dimension of the built-in algebra preset name, read off its name.
+
+    ValueError names the form a preset expects when its dimension is
+    malformed or out of range, and an unknown preset as unknown.
+    """
+    if name == "filiform3:4":
+        return 4
+    kind, _, dim = name.partition(":")
+    if kind not in _PRESET_FORMS:
+        raise ValueError(f"unknown algebra preset {name!r}")
+    form, ok = _PRESET_FORMS[kind]
     try:
-        d = int(name.partition(":")[2])
+        d = int(dim)
     except ValueError:
         d = None
     if d is None or not ok(d):
@@ -394,24 +412,17 @@ def _preset_dim(name, form, ok):
 
 def algebra_preset(name):
     """Built-in algebras: 'abelian:<d>', 'heisenberg:<2k+1>', 'filiform3:4'."""
-    kind = name.partition(":")[0]
-    if kind == "abelian":
-        d = _preset_dim(name, "'abelian:<d>' with d >= 1", lambda d: d >= 1)
-        return new_algebra(d, np.zeros((d, d, d)))
-    if kind == "heisenberg":
-        d = _preset_dim(name, "'heisenberg:<2k+1>' with k >= 1", lambda d: d >= 3 and d % 2)
+    d = preset_dim(name)
+    c = np.zeros((d, d, d))
+    if name.startswith("heisenberg:"):
         k = (d - 1) // 2
-        c = np.zeros((d, d, d))
         for i in range(k):
             c[i, k + i, d - 1] = 1.0
             c[k + i, i, d - 1] = -1.0
-        return new_algebra(d, c)
-    if name == "filiform3:4":
-        c = np.zeros((4, 4, 4))
+    elif name == "filiform3:4":
         c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
         c[0, 2, 3], c[2, 0, 3] = 1.0, -1.0
-        return new_algebra(4, c)
-    raise ValueError(f"unknown algebra preset {name!r}")
+    return new_algebra(d, c)
 
 
 def algebra_from_dict(data):

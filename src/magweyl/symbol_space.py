@@ -195,7 +195,7 @@ def _half_swap_in_place(values):
         hi[...] = buf
 
 
-def centered_dft(values, axes, inverse=False, in_place=False):
+def centered_dft(values, axes, inverse=False, in_place=False, fft_order=False):
     """Centered-grid DFT sum along the given axes (no measure factors).
 
     Computes sum_j f_j exp(-+ 2 pi i (j - N/2)(k - N/2)/N) per axis; the
@@ -207,6 +207,13 @@ def centered_dft(values, axes, inverse=False, in_place=False):
     values, so the call holds two arrays besides its input. With in_place
     the caller hands values over, a writable complex array, and the result
     is swapped back into it: the same bits, one array besides it.
+
+    With fft_order, values and the result are both in FFT order on the
+    transformed axes (their two halves swapped, centred index N/2 at 0), so
+    there is no swap in or out: the result is _half_swap of the centred
+    transform of _half_swap(values), bit for bit. It is a fresh complex
+    copy in the memory order of values, or with in_place values itself,
+    transformed where it lies with no array besides it.
     """
     values = np.asarray(values)
     axes = np.lib.array_utils.normalize_axis_tuple(tuple(axes), values.ndim)
@@ -214,12 +221,17 @@ def centered_dft(values, axes, inverse=False, in_place=False):
         raise ShapeError(f"centered_dft needs even lengths on axes {axes}, got shape {values.shape}")
     if in_place and values.dtype != complex:
         raise ShapeError(f"centered_dft in place needs a complex array, got {values.dtype}")
-    v = _half_swap(values, axes)
+    if fft_order:
+        v = values if in_place else values.astype(complex, order="K")
+    else:
+        v = _half_swap(values, axes)
     if inverse:
         np.fft.ifftn(v, axes=axes, out=v)
         v *= np.prod([values.shape[a] for a in axes])
     else:
         np.fft.fftn(v, axes=axes, out=v)
+    if fft_order:
+        return v
     return _half_swap(v, axes, out=values if in_place else None)
 
 

@@ -26,6 +26,13 @@ its half-step ramp) for half-grid points, mode sums on the axes where the
 group law is nonlinear (class >= 2). Both give the interpolant a plain
 nonuniform-DFT definition would, so the one assembly, for every class,
 matches a dense mode sum to round-off.
+
+Between transforms the kernel maps keep their tables in FFT order
+(`centered_dft`'s fft_order), and read the small phase, ramp and
+coordinate tables in that order (`_fft_order`). Centred order is kept only
+at the symbol and kernel boundary and on the mode axes that a sum
+contracts, so every sum adds its terms in centred order and the outputs
+are those of centred tables, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ import numpy as np
 from . import lie_core, magnetic
 from .errors import NotShiftable, ShapeError, WrongClass
 from .lie_core import _PAIR_BUDGET
-from .symbol_space import (ConfigField, IntegralKernel, SymbolField, centered_dft, coordinate_mesh,
-                           fourier_g)
+from .symbol_space import (ConfigField, IntegralKernel, SymbolField, _half_swap,
+                           _half_swap_in_place, centered_dft, coordinate_mesh, fourier_g)
 
 TWO_PI = 2.0 * np.pi
 _MAX_WORK_BYTES = 1.2e9
@@ -212,21 +219,36 @@ def _axes(alg):
         terms=terms)
 
 
-def _pad_centred(values, axes):
-    """values zero-padded to twice its length on each listed axis, centred.
+def _fft_order(values):
+    """A small table with the two halves of every axis swapped: in FFT order,
+    the order of the kernel maps' tables (`centered_dft`'s fft_order)."""
+    return values[np.ix_(*[(np.arange(n) + n // 2) % n for n in values.shape])]
 
-    Index j moves to j + n/2: the zero extension of a window of samples, or
-    the spectral zero padding of a centred spectrum, whose 2n-point inverse
-    transform samples the interpolant at half steps.
+
+def _pad_fft_order(values, axes):
+    """values zero-padded to twice its length on each listed axis, in FFT order.
+
+    The first half of each axis stays in front and the second moves to the
+    back, zeros between: the centred pad (index j to j + n/2) seen in FFT
+    order. It zero-extends a window of samples, or zero-pads a spectrum
+    so that its 2n-point inverse transform samples the interpolant at half
+    steps.
     """
-    shape = list(values.shape)
-    window = [slice(None)] * values.ndim
-    for ax in axes:
-        n = shape[ax]
-        shape[ax] = 2 * n
-        window[ax] = slice(n // 2, n // 2 + n)
+    shape, split, pick, halves = [], [], [], []
+    for ax, n in enumerate(values.shape):
+        if ax in axes:
+            # the padded axis as 4 quarters of n/2, of which 0 and 3 are kept
+            shape.append(2 * n)
+            split += [4, n // 2]
+            pick += [slice(None, None, 3), slice(None)]
+            halves += [2, n // 2]
+        else:
+            shape.append(n)
+            split.append(n)
+            pick.append(slice(None))
+            halves.append(n)
     padded = np.zeros(shape, dtype=values.dtype)
-    padded[tuple(window)] = values
+    padded.reshape(split)[tuple(pick)] = values.reshape(halves, copy=False)
     return padded
 
 
@@ -237,10 +259,11 @@ def _fine_spectrum(values, axes):
     output coefficients c_k per axis represent the zero-extended window as
     g(w) = sum_k c_k exp(i zeta_k w), zeta_k = (k - N) dxi / 2, faithful for
     |w| < 2L (the representation is 4L-periodic beyond; callers mask).
+    Input and output are in FFT order on those axes.
     """
     out = values
     for ax in axes:
-        out = centered_dft(_pad_centred(out, [ax]), [ax], in_place=True)
+        out = centered_dft(_pad_fft_order(out, [ax]), [ax], in_place=True, fft_order=True)
         out /= out.shape[ax]
     return out
 
@@ -249,13 +272,14 @@ def _partial_transform(ctx, values, scale, w_order, fine):
     """b[X axes..., w axes in w_order]: a symbol's transform over xi.
 
     values holds the symbol's samples, X axes first (they may span a tensor
-    sub-grid), then its d xi axes. The inverse transform over xi times
-    scale, with the difference axes listed in fine replaced by their
-    doubled-grid spectra (`_fine_spectrum`); w_order lists the difference
-    axes in the order the caller reads them.
+    sub-grid), then its d xi axes in FFT order, a complex table handed over
+    and transformed in place. The inverse transform over xi times scale,
+    with the difference axes listed in fine replaced by their doubled-grid
+    spectra (`_fine_spectrum`), every difference axis in FFT order; w_order
+    lists the difference axes in the order the caller reads them.
     """
     d = ctx.grid.dim
-    b = centered_dft(values, range(d, 2 * d), inverse=True)
+    b = centered_dft(values, range(d, 2 * d), inverse=True, in_place=True, fft_order=True)
     b *= scale
     b = _fine_spectrum(b, [d + ax for ax in fine])
     return np.transpose(b, list(range(d)) + [d + ax for ax in w_order])
@@ -417,11 +441,12 @@ def _parity_ramps(grid):
     differences w = r - N/2 of an N-point window. Multiplying the N-point
     spectrum of samples by the ramp and transforming back gives the
     trigonometric interpolant half a step on, at (s - N/2) h + h/2: the odd
-    outputs of 2x spectral zero padding (`_pad_centred` and a 2N-point
+    outputs of 2x spectral zero padding (`_pad_fft_order` and a 2N-point
     inverse transform), whose even outputs are the samples themselves. A
     kernel pair (j, l) has midpoint index u = j + l and difference w = j - l
     of the same parity, so on an axis where the difference is an index this
-    selects the shift per entry.
+    selects the shift per entry. Both axes are centred; the kernel maps read
+    the table through `_fft_order`.
     """
     N = grid.points_per_axis
     odd = (np.arange(N) - N // 2) % 2 == 1
@@ -448,7 +473,11 @@ def _kernel_structured(ctx, a):
     once per call and the slab table is read at (j + k) // 2. A derived
     axis off the nonlinear ones takes both parities, so each slab pads its
     spectrum to 2N modes and transforms it to the half-step grid, read at
-    j + k; so is the one axis of a one-dimensional group.
+    j + k; so is the one axis of a one-dimensional group. The symbol is
+    half-swapped once, into the copy that the transform over xi runs in,
+    and the tables stay in FFT order, except the axes that a mode sum
+    contracts (modal and nonlinear), swapped back after the position
+    spectrum.
 
     A shiftable derived axis c has w_c = r_c h - S_c, r_c = j_c - k_c, where
     S_c = [delta, m]_c / 2, one product per entry of the record's terms[c],
@@ -537,19 +566,29 @@ def _kernel_structured(ctx, a):
 
     # b[X axes..., w axes...]: inverse transform over xi with the kernel
     # measure, the w block reordered to (regular, shiftable, modal derived,
-    # nonlinear axes); the shiftable axes keep their N-point windows
-    b = _partial_transform(ctx, a.values, (dxi / TWO_PI) ** d,
+    # nonlinear axes); the shiftable axes keep their N-point windows. The
+    # symbol's one swap into FFT order is the copy the transform runs in
+    b = _partial_transform(ctx, _half_swap(a.values, range(2 * d)), (dxi / TWO_PI) ** d,
                            reg + shift + modal + nl, fine)
 
     x, zeta = grid.axis_x, _fine_dual_axis(grid)
+    w_axis = {ax: d + pos for pos, ax in enumerate(reg + shift + modal + nl)}
 
     # the position spectrum over N^d, each ramped axis's ramp at odd differences
-    spec = centered_dft(b, range(d), in_place=True)
+    spec = centered_dft(b, range(d), in_place=True, fft_order=True)
+    del b
     spec /= N ** d
+    if ramped:
+        ramps = _fft_order(_parity_ramps(grid))
     for ax in ramped:
         shape = [1] * spec.ndim
-        shape[ax], shape[d + reg.index(ax)] = N, N
-        spec *= _parity_ramps(grid).reshape(shape)
+        shape[ax], shape[w_axis[ax]] = N, N
+        spec *= ramps.reshape(shape)
+    # the axes that a mode sum contracts go back to centred order, so the
+    # sums add their terms in the centred order
+    summed = [w_axis[c] for c in modal + nl] + nl
+    if summed:
+        spec = _half_swap(spec, summed)
     ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
@@ -559,16 +598,21 @@ def _kernel_structured(ctx, a):
     axis_idx = [np.arange(N).reshape((N,) + (1,) * (2 * m - 1 - i)) for i in range(2 * m)]
     jrest = {ax: axis_idx[i] for i, ax in enumerate(rest)}
     krest = {ax: axis_idx[m + i] for i, ax in enumerate(rest)}
-    # the midpoint index: j + k on an upsampled axis, (j + k) // 2 on a ramped one
-    umid = {ax: (jrest[ax] + krest[ax]) // (1 if ax in up else 2) for ax in rest if ax in lin}
+    # the tables are read in FFT order: the midpoint index j + k of an
+    # upsampled axis at (j + k + N) mod 2N, (j + k) // 2 of a ramped one at
+    # ((j + k) // 2 + N/2) mod N
+    def midpoint(ax, jk):
+        return (jk + N) % (2 * N) if ax in up else (jk // 2 + half) % N
+
+    umid = {ax: midpoint(ax, jrest[ax] + krest[ax]) for ax in rest if ax in lin}
     ridx, rmask = [], np.ones((N,) * (2 * m), dtype=bool)
     for ax in rest:
         if ax in reg:
             rr = jrest[ax] - krest[ax]
             rmask &= (rr >= -half) & (rr < half)
-            ridx.append(np.clip(rr + half, 0, N - 1))
-    # a shiftable axis's table is indexed by r_c + N, r_c in [-N, N)
-    ridx += [jrest[c] - krest[c] + N for c in shift]
+            ridx.append(rr % N)
+    # a shiftable axis's table is indexed by r_c mod 2N, r_c in [-N, N)
+    ridx += [(jrest[c] - krest[c]) % (2 * N) for c in shift]
     # w_c = y_c - z_c - [Y, Z]_c / 2 on each modal derived axis
     e = np.eye(d)
     phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
@@ -576,7 +620,6 @@ def _kernel_structured(ctx, a):
 
     # a job's table: the d positions, then the w block, whose first axis
     # runs over the job's slabs r (with no regular axis, over w_q's modes)
-    w_axis = {ax: d + pos for pos, ax in enumerate(reg + shift + modal + nl)}
     shift_axes = [w_axis[c] for c in shift]
 
     def along(v, axis):
@@ -585,33 +628,36 @@ def _kernel_structured(ctx, a):
         return v.reshape(shape)
 
     # on a slab table regular axis i has difference r_i h and midpoint
-    # (u_i - N/2) h, plus h / 2 at odd r_i; on axis q, r_i is the slab's r
-    diff = {i: along(np.arange(N) - half, w_axis[i]) for i in reg[1:]}
-    mid = {i: along(x, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
+    # (u_i - N/2) h, plus h / 2 at odd r_i; on axis q, r_i is the slab's r;
+    # these small tables, zeta and w_fine in FFT order like the slab table
+    x_fft = _fft_order(x)
+    diff = {i: along(_fft_order(np.arange(N) - half), w_axis[i]) for i in reg[1:]}
+    mid = {i: along(x_fft, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
     # S_c = [delta, m]_c / 2 as (coefficient, i, j) terms
     s_terms = [[(0.5 * h * coef, i, j) for i, j, coef in axes.terms[c]] for c in shift]
-    w_fine = (np.arange(2 * N) - N) * h
+    zeta_fft = _fft_order(zeta)
+    w_fine = _fft_order((np.arange(2 * N) - N) * h)
 
     def shift_offsets(rs):
         """S_c over the job table's axes for the slabs rs, per shiftable axis c."""
         r = along(rs, d)
         dr = {**diff, q: r}
-        mr = {**mid, q: along(x, q) + (r % 2) * (h / 2)}
+        mr = {**mid, q: along(x_fft, q) + (r % 2) * (h / 2)}
         return [sum(coef * dr[i] * mr[j] for coef, i, j in terms) for terms in s_terms]
 
     def slab_table(rs):
-        t = spec if rs is None else np.take(spec, rs + half, axis=d)
+        t = spec if rs is None else np.take(spec, rs % N, axis=d)
         if ramped:
-            t = centered_dft(t, ramped, inverse=True, in_place=True)
+            t = centered_dft(t, ramped, inverse=True, in_place=True, fft_order=True)
         offsets = shift_offsets(rs) if shift else []
         t = _fine_spectrum(t, shift_axes)
         for c, s in zip(shift, offsets):
-            t *= np.exp(-1j * (along(zeta, w_axis[c]) * s))
+            t *= np.exp(-1j * (along(zeta_fft, w_axis[c]) * s))
         if up:
             # padded first, to free the unpadded table, and transformed in
             # place; shift is within up
-            t = _pad_centred(t, up)
-            centered_dft(t, up + shift_axes, inverse=True, in_place=True)
+            t = _pad_fft_order(t, up)
+            centered_dft(t, up + shift_axes, inverse=True, in_place=True, fft_order=True)
         for c, s in zip(shift, offsets):
             t *= np.abs(along(w_fine, w_axis[c]) - s) < 2 * L
         # the nonlinear position axes stay spectral, behind the w block
@@ -623,7 +669,7 @@ def _kernel_structured(ctx, a):
         lead = (jq.size,) + (1,) * (2 * m)
         y_idx = [jq.reshape(lead) if ax == q else jrest[ax] for ax in range(d)]
         z_idx = [kq.reshape(lead) if ax == q else krest[ax] for ax in range(d)]
-        uq = (jq + kq).reshape(lead) // (1 if q in up else 2)
+        uq = midpoint(q, (jq + kq).reshape(lead))
         val = table[tuple(uq if ax == q else umid[ax] for ax in lin)
                     + (() if slab is None else (slab.reshape(lead),)) + tuple(ridx)]
         phases, keep = [fn(y_idx, z_idx) for fn in phase_fns], rmask
@@ -808,7 +854,10 @@ def _twostep_adjoint(ctx, M):
     that read regular coordinates are undone, so every derived axis must be
     shiftable (callers run the `_axes` record's require_shiftable first).
     M is dropped after the first gather step, so a caller that hands it
-    over (as `symbol_from_kernel` does) frees it there.
+    over (as `symbol_from_kernel` does) frees it there. The gather writes
+    the table in FFT order, which it keeps through the position round trip
+    and `_midpoint_table_to_symbol`; the symbol is swapped back in place
+    once, on exit.
     """
     grid = ctx.grid
     d, N = grid.dim, grid.points_per_axis
@@ -817,16 +866,25 @@ def _twostep_adjoint(ctx, M):
     # table[s..., w...] = K[j, l] with j + l = 2 s + (w parity), one axis pair
     # at a time: the pairs with j - l = r are a diagonal of the (j, l) plane,
     # j from max(r, 0), and land in column w = r, or on a derived axis in
-    # column r folded mod N
+    # column r folded mod N. The table is in FFT order: column w at w mod N,
+    # and the run of midpoints from s0 at (s0 + N/2) mod N, wrapping at N
     half = N // 2
 
     def gather(table, i):
         out = np.zeros_like(table)
         for r in range(1 - N, N) if i in der else range(-half, half):
-            s0 = max(r, 0) - (r + r % 2) // 2
+            s0 = (max(r, 0) - (r + r % 2) // 2 + half) % N
+            n = N - abs(r)
+            diag = np.moveaxis(np.diagonal(table, -r, i, d + i), -1, i)
             cell = [slice(None)] * (2 * d)
-            cell[i], cell[d + i] = slice(s0, s0 + N - abs(r)), (r + half) % N
-            out[tuple(cell)] += np.moveaxis(np.diagonal(table, -r, i, d + i), -1, i)
+            cell[d + i] = r % N
+            # the run up to the wrap at N, then the rest from 0
+            first = min(n, N - s0)
+            cell[i] = slice(s0, s0 + first)
+            out[tuple(cell)] += diag[(slice(None),) * i + (slice(first),)]
+            if first < n:
+                cell[i] = slice(n - first)
+                out[tuple(cell)] += diag[(slice(None),) * i + (slice(first, n),)]
         return out
 
     table = M.reshape((N,) * (2 * d))
@@ -835,11 +893,11 @@ def _twostep_adjoint(ctx, M):
         table = gather(table, i)
 
     # the position round trip, both transforms in the table
-    centered_dft(table, range(d), in_place=True)
-    ramps = np.conj(_parity_ramps(grid))
+    centered_dft(table, range(d), in_place=True, fft_order=True)
+    ramps = np.conj(_fft_order(_parity_ramps(grid)))
     for i in range(d):
         table *= ramps.reshape([N if k in (i, d + i) else 1 for k in range(2 * d)])
-    centered_dft(table, range(d), inverse=True, in_place=True)
+    centered_dft(table, range(d), inverse=True, in_place=True, fft_order=True)
     table /= N ** d
     return _midpoint_table_to_symbol(ctx, table)
 
@@ -847,8 +905,9 @@ def _twostep_adjoint(ctx, M):
 def _midpoint_table_to_symbol(ctx, bbar):
     """The symbol from its partial transform b(m, w) on the difference windows.
 
-    bbar has axes (m..., w...), each w on the N-point window |w| < L, and
-    is handed over: the symbol is returned in it. On a derived axis c it
+    bbar has axes (m..., w...), each w on the N-point window |w| < L, in
+    FFT order on every axis, and is handed over: the symbol is returned in
+    it, swapped back to centred order in place. On a derived axis c it
     holds the doubled window |w| < 2L folded mod N (the adjoint folds it at
     the gather), with entries at w_c = r h + s_c(m, w), s_c = [m, W]_c / 2
     over the regular coordinates. The N-point spectrum of the folded window is the even
@@ -862,17 +921,18 @@ def _midpoint_table_to_symbol(ctx, bbar):
     d, N, h = grid.dim, grid.points_per_axis, grid.h
     axes = _axes(ctx.algebra)
     der, reg = axes.derived, axes.regular
-    x, xi = grid.axis_x, grid.axis_xi
+    x, xi = _fft_order(grid.axis_x), _fft_order(grid.axis_xi)
     if der:
-        centered_dft(bbar, [d + c for c in der], in_place=True)
+        centered_dft(bbar, [d + c for c in der], in_place=True, fft_order=True)
     for c in der:
         # exp(-i xi s_c), s_c = [m, W]_c / 2 over the regular coordinates
         bbar *= np.exp(-1j * xi.reshape((-1,) + (1,) * (d - 1 - c)) * sum(
             0.5 * coef * x.reshape((N,) + (1,) * (2 * d - 1 - i))
             * x.reshape((N,) + (1,) * (d - 1 - j))
             for i, j, coef in axes.terms[c]))
-    centered_dft(bbar, [d + i for i in reg], in_place=True)
+    centered_dft(bbar, [d + i for i in reg], in_place=True, fft_order=True)
     bbar *= h ** d
+    _half_swap_in_place(bbar)
     return bbar
 
 
@@ -931,8 +991,9 @@ def _half_transform_table(ctx, symbol, x_axes):
     """Table for At(X, u) = INT symbol(X, z) e^{i<z, u>} dz.
 
     Layout (flat X, u on regular axes..., modes on central axes...):
-    regular axes carry the on-grid |u| < L window (zero outside), central
-    axes stay spectral on the doubled mode grid. X runs over the tensor
+    regular axes carry the on-grid |u| < L window (zero outside) in FFT
+    order, u = r h at index r mod N; central axes stay spectral on the
+    doubled mode grid, centred. X runs over the tensor
     sub-grid that x_axes, a list of d grid index arrays, spans, raveled in
     "ij" order; each row depends only on its own X, so it is the whole-grid
     table's row bit for bit.
@@ -940,9 +1001,15 @@ def _half_transform_table(ctx, symbol, x_axes):
     grid = ctx.grid
     d, N = grid.dim, grid.points_per_axis
     axes = _axes(ctx.algebra)
-    values = symbol.values[np.ix_(*x_axes, *([np.arange(N)] * d))]
+    # the rows and the xi axes in FFT order, gathered in one copy
+    values = symbol.values[np.ix_(*x_axes, *([(np.arange(N) + N // 2) % N] * d))]
     vals = _partial_transform(ctx, values, grid.dxi ** d, axes.regular + axes.derived,
                               axes.derived)
+    # the caller sums the central modes, so they go back to centred order,
+    # swapped straight into a C-ordered table
+    modes = range(d + len(axes.regular), 2 * d)
+    if modes:
+        vals = _half_swap(vals, modes, out=np.empty(vals.shape, dtype=complex))
     return np.ascontiguousarray(vals.reshape((-1,) + vals.shape[d:]))
 
 
@@ -1011,10 +1078,11 @@ def moyal_2step_point(ctx, a, b, X, xi):
     # brackets land on derived axes only, so the regular coordinates of u
     # and v are the on-grid 2(X-T) and 2(Z-X); pairs outside their |.| < L
     # windows contribute exact zeros, which leaves tensor sub-grids of T
-    # and Z: T rows in _PAIR_BUDGET blocks, Z as a tensor layout
+    # and Z: T rows in _PAIR_BUDGET blocks, Z as a tensor layout; the tables
+    # hold those windows in FFT order, r at r mod N
     def window(shift):
         r = 2 * shift
-        return np.all((r >= -half) & (r < half), axis=0), r + half
+        return np.all((r >= -half) & (r < half), axis=0), r % N
 
     t_ok, iu = window(p[reg, None] - idx[reg])
     z_ok, iv = window(idx[reg] - p[reg, None])

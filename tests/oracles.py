@@ -12,6 +12,9 @@ every pair. `centered_dft_rolled` is the textbook centred transform that
 the library's copy-light one must match bit for bit, and
 `eval_words_einsum` the dense ad-matrix contraction that the library's
 sparse bracket program must match bit for bit on sparse bases.
+`fine_spectrum_centred` and `half_transform_table_centred` build the
+doubled-grid spectra and the direct point's tables in centred order, where
+the library keeps its tables in FFT order.
 `kernel_twostep_upsampled` upsamples every position axis of a slab with
 `upsample2`'s spectral zero padding, applied as a (2N, N) matrix one axis
 at a time, where the library upsamples only the derived axes and shifts
@@ -102,6 +105,22 @@ def trig_eval_dense(f, points):
     return scale * (np.exp(1j * (pts @ modes.T)) @ fhat).reshape(shape)
 
 
+def fine_spectrum_centred(values, axes):
+    """Window samples along axes replaced by their doubled-grid spectral modes.
+
+    Each axis is zero-padded about its centre to 2N points (np.pad) and
+    transformed there, divided by 2N; every axis stays centred. The library
+    pads and transforms in FFT order (`_fine_spectrum`).
+    """
+    out = values
+    for ax in axes:
+        n = out.shape[ax]
+        pad = [(0, 0)] * out.ndim
+        pad[ax] = (n // 2, n // 2)
+        out = wl.centered_dft(np.pad(out, pad), [ax], inverse=False) / (2 * n)
+    return out
+
+
 def joint_spectrum(ctx, a):
     """Joint mode representation: value(m, w) = sum J e^{i<chi,m> + i<zeta,w>}.
 
@@ -112,7 +131,7 @@ def joint_spectrum(ctx, a):
     d, N = grid.dim, grid.points_per_axis
     b = (grid.dxi / (2 * np.pi)) ** d * wl.centered_dft(a.values, range(d, 2 * d),
                                                         inverse=True)
-    b = wl._fine_spectrum(b, range(d, 2 * d))
+    b = fine_spectrum_centred(b, range(d, 2 * d))
     J = wl.centered_dft(b, range(d), inverse=False) / N ** d
     return J.reshape(N ** d, (2 * N) ** d)
 
@@ -189,7 +208,7 @@ def kernel_twostep_upsampled(ctx, a):
     der, reg = axes.derived, axes.regular
     q = reg[0]
     b = (dxi / (2 * np.pi)) ** d * wl.centered_dft(a.values, range(d, 2 * d), inverse=True)
-    b = wl._fine_spectrum(b, [d + ax for ax in der])
+    b = fine_spectrum_centred(b, [d + ax for ax in der])
     b = np.transpose(b, list(range(d)) + [d + ax for ax in reg] + [d + ax for ax in der])
     x = grid.axis_x
     zeta = wl._fine_dual_axis(grid)
@@ -422,13 +441,31 @@ def alpha_phase_segment_form(A, Y, Z):
     return np.exp(1j * phase)
 
 
+def half_transform_table_centred(ctx, symbol):
+    """At(X, u) = INT symbol(X, z) e^{i<z, u>} dz on every grid row, centred.
+
+    Layout (flat X, u on regular axes..., modes on derived axes...): u = r h
+    at index r + N/2 of the |u| < L window, the derived axes on the doubled
+    mode grid (`fine_spectrum_centred`). The library builds the same table
+    in FFT order on its regular axes (`_half_transform_table`).
+    """
+    grid = ctx.grid
+    d = grid.dim
+    axes = wl._axes(ctx.algebra)
+    b = grid.dxi ** d * wl.centered_dft(symbol.values, range(d, 2 * d), inverse=True)
+    b = fine_spectrum_centred(b, [d + c for c in axes.derived])
+    b = np.transpose(b, list(range(d)) + [d + c for c in axes.regular + axes.derived])
+    return b.reshape((-1,) + b.shape[d:])
+
+
 def moyal_point_dense(ctx, a, b, X, xi):
     """The direct class <= 1 product formula at (X, xi), pair by pair.
 
     Every (T, Z) pair forms u = 2(X-T) + [Z, X-T] and v = 2(Z-X) + [T, Z-X]
-    with the bracket einsum, gathers the half-transform tables at their
-    regular coordinates, and forms exp(i u_c zeta) and exp(i v_c zeta), one
-    exponential per (pair, mode), on every derived axis c. beta is the
+    with the bracket einsum, gathers the half-transform tables
+    (`half_transform_table_centred`) at their regular coordinates, and
+    forms exp(i u_c zeta) and exp(i v_c zeta), one exponential per (pair,
+    mode), on every derived axis c. beta is the
     library's compiled one (checked against moyal_beta_dense on its own).
     """
     grid = ctx.grid
@@ -439,8 +476,8 @@ def moyal_point_dense(ctx, a, b, X, xi):
     xi = np.asarray(xi, dtype=float)
     axes = wl._axes(ctx.algebra)
     der, reg = axes.derived, axes.regular
-    Ca = wl._half_transform_table(ctx, a, [np.arange(N)] * d)
-    Cb = wl._half_transform_table(ctx, b, [np.arange(N)] * d)
+    Ca = half_transform_table_centred(ctx, a)
+    Cb = half_transform_table_centred(ctx, b)
     zeta = wl._fine_dual_axis(grid)
     pts = wl._grid_points(ctx)
     n = pts.shape[0]

@@ -169,28 +169,52 @@ def test_acceptance_9_moyal_gauge_invariance():
     report(9, "moyal-gauge-invariance", gap, 1e-6)
 
 
+# the quantization of |xi|^2 + w^2 |x|^2 in the constant field B is the
+# Fock-Darwin Hamiltonian, levels (2n + |m| + 1) 2 Omega - m B with
+# Omega = sqrt(w^2 + B^2 / 4), n >= 0, m in Z
+FD_B, FD_W = 1.0, 0.5
+
+
+def fock_darwin_lowest(grid, A):
+    """The 10 lowest eigenvalues of the Hermitian part of h^2 K on abelian:2,
+    K the kernel of |xi|^2 + w^2 |x|^2 in the potential A."""
+    ab2 = A.algebra
+    h = sp.sample_symbol(lambda X, Xi: (Xi[..., 0] ** 2 + Xi[..., 1] ** 2
+                                        + FD_W ** 2 * (X[..., 0] ** 2 + X[..., 1] ** 2)), grid)
+    K = grid.h ** 2 * wl.kernel_from_symbol(wl.make_context(ab2, A, grid), h).values
+    return np.linalg.eigvalsh((K + K.conj().T) / 2)[:10]
+
+
+def fock_darwin_levels():
+    """The 10 lowest Fock-Darwin levels in closed form."""
+    n, m = np.meshgrid(np.arange(10), np.arange(-40, 41), indexing="ij")
+    return np.sort(((2 * n + abs(m) + 1) * 2 * np.hypot(FD_W, FD_B / 2) - m * FD_B).ravel())[:10]
+
+
 def test_acceptance_10_fock_darwin_spectrum():
-    # the quantization of |xi|^2 + w^2 |x|^2 in the constant field B is the
-    # Fock-Darwin Hamiltonian, levels (2n + |m| + 1) 2 Omega - m B with
-    # Omega = sqrt(w^2 + B^2 / 4), n >= 0, m in Z
     ab2 = lc.algebra_preset("abelian:2")
     grid = sp.make_grid(2, 32, 8.0)
-    B, w = 1.0, 0.5
-    h = sp.sample_symbol(lambda X, Xi: (Xi[..., 0] ** 2 + Xi[..., 1] ** 2
-                                        + w ** 2 * (X[..., 0] ** 2 + X[..., 1] ** 2)), grid)
-
-    def lowest(A):
-        K = grid.h ** 2 * wl.kernel_from_symbol(wl.make_context(ab2, A, grid), h).values
-        return np.linalg.eigvalsh((K + K.conj().T) / 2)[:10]
-
-    landau = lowest(mg.potential_preset("landau:1", ab2))
-    n, m = np.meshgrid(np.arange(10), np.arange(-40, 41), indexing="ij")
-    levels = np.sort(((2 * n + abs(m) + 1) * 2 * np.hypot(w, B / 2) - m * B).ravel())[:10]
+    landau = fock_darwin_lowest(grid, mg.potential_preset("landau:1", ab2))
+    levels = fock_darwin_levels()
     report(10, "fock-darwin-spectrum", np.max(np.abs(landau - levels) / levels), 1e-5)
 
     tables = [np.zeros((2, 2)), np.zeros((2, 2))]
-    tables[0][0, 1] = -B / 2
-    tables[1][1, 0] = B / 2  # the symmetric gauge A = (-B x2 / 2, B x1 / 2)
-    symmetric = lowest(mg.make_potential(ab2, tables))
+    tables[0][0, 1] = -FD_B / 2
+    tables[1][1, 0] = FD_B / 2  # the symmetric gauge A = (-B x2 / 2, B x1 / 2)
+    symmetric = fock_darwin_lowest(grid, mg.make_potential(ab2, tables))
     report(10, "fock-darwin-gauge-invariance",
            np.max(np.abs(symmetric - landau) / landau), 1e-11)
+
+
+def test_fock_darwin_converges_over_n():
+    # at L = 8 the largest relative error of the first 10 levels falls at
+    # each refinement of h = 2L/N (3.3e-5, 2.3e-6 and 8.0e-7 when measured);
+    # beyond N = 40 it flattens towards the box's floor (5.3e-7 at N = 48)
+    A = mg.potential_preset("landau:1", lc.algebra_preset("abelian:2"))
+    levels = fock_darwin_levels()
+    errors = []
+    for N in (24, 32, 40):
+        grid = sp.make_grid(2, N, 8.0)
+        errors.append(np.max(np.abs(fock_darwin_lowest(grid, A) - levels) / levels))
+        print(f"FOCK-DARWIN L=8 N={N} h={grid.h:.3f} max-rel-error={errors[-1]:.3e}")
+    assert errors[0] > errors[1] > errors[2]

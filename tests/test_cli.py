@@ -223,6 +223,8 @@ class TestConfigParsing:
         "abelian-dim-not-a-number": ("build-kernel", {"algebra": "abelian:x"}, [],
                                      "preset 'abelian:x' does not have the form "
                                      "'abelian:<d>'"),
+        "abelian-dim-above-max": ("build-kernel", {"algebra": "abelian:100000"}, [],
+                                  f"algebra dimension above {cli.MAX_DIM}: 'abelian:100000'"),
         # potential, on heisenberg:3
         "one-component-on-dim-3": ("build-kernel", {"potential": {"components": [[]]}}, [],
                                    "a list of 3 term lists"),

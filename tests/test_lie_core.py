@@ -1,5 +1,7 @@
 """Tests for the Lie algebra layer: group law, translations, psi maps."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,17 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             lc.algebra_preset("nosuch:1")
+
+    def test_preset_dim_is_the_dimension_the_preset_builds(self):
+        # the one parse behind algebra_preset and the CLI's size check
+        for name in ("abelian:1", "abelian:7", "heisenberg:3", "heisenberg:9", "filiform3:4"):
+            assert lc.preset_dim(name) == lc.algebra_preset(name).dim
+        assert lc.preset_dim("abelian:100000") == 100000
+        for name, says in (("abelian:x", "'abelian:<d>'"), ("abelian:0", "'abelian:<d>'"),
+                           ("heisenberg:4", "'heisenberg:<2k+1>'"), ("heisenberg", "'heisenberg:"),
+                           ("filiform3:5", "unknown"), ("nosuch:1", "unknown")):
+            with pytest.raises(ValueError, match=re.escape(says)):
+                lc.preset_dim(name)
 
     def test_heisenberg_5_pairs(self):
         e = np.eye(5)

@@ -1,5 +1,6 @@
 """Tests for grids, sampling, Fourier transforms, and norms."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -216,6 +217,38 @@ class TestCenteredDft:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * v.nbytes
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_fft_order_is_the_transform_between_half_swaps(self, inverse, in_place):
+        # on every axis subset of a 6-D table, C-ordered and transposed
+        rng = np.random.default_rng(7)
+        v = random_complex(rng, (2, 4, 6, 2, 4, 2))
+        v[(1,) * 6] = complex(-0.0, 0.0)
+        for table in (v, np.transpose(v, (3, 0, 5, 1, 4, 2))):
+            for k in range(1, 7):
+                for axes in itertools.combinations(range(6), k):
+                    want = ss._half_swap(ss.centered_dft(ss._half_swap(table, axes), axes,
+                                                         inverse), axes)
+                    if in_place:
+                        got = table.copy(order="K")
+                        assert ss.centered_dft(got, axes, inverse, in_place=True,
+                                               fft_order=True) is got
+                    else:
+                        got = ss.centered_dft(table, axes, inverse, fft_order=True)
+                    assert same_bits_and_layout(got, want)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_order_in_place_holds_no_array_besides(self, inverse):
+        v = random_complex(np.random.default_rng(6), (8,) * 6)
+        ss.centered_dft(v.copy(), range(3), inverse, in_place=True, fft_order=True)
+        tracemalloc.start()
+        try:
+            ss.centered_dft(v, range(3), inverse, in_place=True, fft_order=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * v.nbytes
 
     @pytest.mark.parametrize("shape", [(8,), (2, 6), (4, 2, 6), (6, 4, 2, 8)])
     def test_half_swap_in_place_matches_the_copy(self, shape):
