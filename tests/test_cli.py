@@ -304,15 +304,26 @@ class TestVerifyAlgebra:
         assert json.loads((tmp_path / "o" / "report.json").read_text())["overall_pass"]
 
     def test_broken_jacobi_surfaced(self, tmp_path, capsys):
-        # [e1,e2]=e3, [e1,e3]=e2 violates Jacobi closure under nilpotency
+        # [e1,e2]=e3, [e1,e3]=e1: J(e1, e2, e3) = e3
+        bad = {"dim": 3, "brackets": [
+            {"i": 1, "j": 2, "coeffs": [0, 0, 1]},
+            {"i": 1, "j": 3, "coeffs": [1, 0, 0]}]}
+        cfg = write_config(tmp_path, algebra=bad)
+        code = run("verify-algebra", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("JacobiViolation: "), err
+
+    def test_non_nilpotent_surfaced(self, tmp_path, capsys):
+        # [e1,e2]=e3, [e1,e3]=e2 is solvable, not nilpotent
         bad = {"dim": 3, "brackets": [
             {"i": 1, "j": 2, "coeffs": [0, 0, 1]},
             {"i": 1, "j": 3, "coeffs": [0, 1, 0]}]}
         cfg = write_config(tmp_path, algebra=bad)
         code = run("verify-algebra", "--config", cfg, "--out", str(tmp_path / "o"))
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "Jacobi" in err or "Nilpotent" in err
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("NotNilpotent: "), err
 
 
 class TestBuildKernel:

@@ -50,13 +50,12 @@ class TestNewAlgebra:
             lc.new_algebra(2, c)
 
     def test_rejects_jacobi_violation(self):
+        # [e1,e2] = e3, [e1,e3] = e1: J(e1, e2, e3) = [e1, [e2, e3]]
+        # + [e2, [e3, e1]] + [e3, [e1, e2]] = 0 - [e2, e1] + 0 = e3
         c = np.zeros((3, 3, 3))
         c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
-        c[0, 2, 1], c[2, 0, 1] = 1.0, -1.0
-        c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0
-        # so(3)-like signs chosen to break the identity
-        c[1, 2, 0], c[2, 1, 0] = -1.0, 1.0
-        with pytest.raises((JacobiViolation, NotNilpotent)):
+        c[0, 2, 0], c[2, 0, 0] = 1.0, -1.0
+        with pytest.raises(JacobiViolation, match="violated by 1.000e"):
             lc.new_algebra(3, c)
 
     def test_rejects_solvable_non_nilpotent(self):
@@ -64,6 +63,18 @@ class TestNewAlgebra:
         c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0  # [e1,e2] = e1
         with pytest.raises(NotNilpotent):
             lc.new_algebra(3, c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[1, 0, 2] = bad, -bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            lc.new_algebra(3, c)
+
+    def test_from_dict_rejects_short_coeffs(self):
+        data = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0.0, 1.0]}]}
+        with pytest.raises(ShapeError, match="length 3"):
+            lc.algebra_from_dict(data)
 
     def test_from_dict_round_trip(self):
         data = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": [0.0, 0.0, 1.0]}]}
@@ -138,16 +149,25 @@ class TestBch:
         rhs = lc.bch(alg, X, lc.bch(alg, Y, Z))
         assert np.allclose(lhs, rhs, atol=1e-9)
 
-    def test_class_cap(self):
-        # model filiform algebra of dimension 9 has class 7
+    @staticmethod
+    def filiform9():
+        """The model filiform algebra of dimension 9, of class 7."""
         dim = 9
         c = np.zeros((dim, dim, dim))
         for i in range(1, dim - 1):
             c[0, i, i + 1], c[i, 0, i + 1] = 1.0, -1.0
-        alg = lc.new_algebra(dim, c)
+        return lc.new_algebra(dim, c)
+
+    def test_class_cap(self):
+        alg = self.filiform9()
         assert alg.nilpotency_class == 7
         with pytest.raises(ClassTooLarge):
-            lc.bch(alg, np.ones(dim), np.arange(dim, dtype=float))
+            lc.bch(alg, np.ones(9), np.arange(9, dtype=float))
+
+    @pytest.mark.parametrize("word_sum", [lc.right_translation_differential, lc.psi_map])
+    def test_class_cap_in_the_other_word_sums(self, word_sum):
+        with pytest.raises(ClassTooLarge, match="class 7"):
+            word_sum(self.filiform9(), np.ones(9), np.arange(9, dtype=float))
 
 
 class TestRightTranslationDifferential:

@@ -56,6 +56,11 @@ class TestMakePotential:
         with pytest.raises(ShapeError):
             mg.make_potential(AB2, [np.zeros(3), np.zeros(3)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_table(self, bad):
+        with pytest.raises(ShapeError, match="non-finite"):
+            mg.make_potential(AB2, [np.array([[0.0, bad]]), np.zeros((1, 1))])
+
     def test_rejects_high_degree(self):
         t = np.zeros(10)
         t[9] = 1.0
@@ -90,6 +95,10 @@ class TestPolynomialHelpers:
         table[0, 0], table[1, 2] = 1.0, 2.0
         pts = np.array([[1.0, 2.0], [-0.5, 3.0]])
         assert np.allclose(mg.polynomial_eval(table, pts), [9.0, -8.0])
+
+    def test_eval_rejects_points_of_another_dimension(self):
+        with pytest.raises(ShapeError, match="2 axes, points have dimension 3"):
+            mg.polynomial_eval(np.zeros((2, 3)), np.zeros((4, 3)))
 
     def test_derivative_tables(self):
         table = np.zeros((2, 3))
@@ -143,6 +152,10 @@ class TestFieldEval:
 
 
 class TestGaugeFunction:
+    def test_rejects_potentials_across_dimensions(self):
+        with pytest.raises(ShapeError, match="different dimension"):
+            mg.gauge_function(mg.potential_preset("zero", AB2), mg.potential_preset("zero", HEIS))
+
     def test_identical_potentials_give_zero(self):
         rng = np.random.default_rng(6)
         A = random_potential(AB2, rng)
@@ -330,3 +343,8 @@ class TestSerialization:
     def test_rejects_wrong_component_count(self):
         with pytest.raises(ShapeError):
             mg.potential_from_dict(HEIS, {"components": [[], []]})
+
+    def test_rejects_short_exponent_list(self):
+        short = [{"exponents": [1, 0], "coeff": 1.0}]
+        with pytest.raises(ShapeError, match="length 3"):
+            mg.potential_from_dict(HEIS, {"components": [short, [], []]})

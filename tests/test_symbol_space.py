@@ -1,6 +1,7 @@
 """Tests for grids, sampling, Fourier transforms, and norms."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,24 @@ class TestMakeGrid:
     def test_rejects_bad_specs(self, dim, N, L):
         with pytest.raises(BadGridSpec):
             ss.make_grid(dim, N, L)
+
+
+class TestFieldKinds:
+    def test_config_field_rejects_an_unknown_space(self):
+        g = ss.make_grid(1, 8, 3.0)
+        with pytest.raises(ShapeError, match="space must be"):
+            ss.ConfigField(g, np.zeros(8), space="x")
+
+    def test_symplectic_fourier_wants_a_symbol(self):
+        g = ss.make_grid(1, 8, 3.0)
+        with pytest.raises(ShapeError, match="phase-space field"):
+            ss.symplectic_fourier(ss.ConfigField(g, np.zeros(8)))
+
+    def test_inner_rejects_fields_on_different_grids(self):
+        f = ss.ConfigField(ss.make_grid(1, 8, 3.0), np.ones(8))
+        g = ss.ConfigField(ss.make_grid(1, 8, 4.0), np.ones(8))
+        with pytest.raises(ShapeError, match="same grid"):
+            ss.inner(f, g)
 
 
 class TestSampling:
@@ -361,13 +380,23 @@ class TestDumpLoad:
         # storage is complex64, so round-trip holds at single precision
         assert np.abs(loaded.values - field.values).max() < 1e-6
 
+    def test_dump_rejects_a_non_field(self, tmp_path):
+        with pytest.raises(ShapeError, match="cannot serialize ndarray"):
+            ss.dump_field(np.zeros(4), tmp_path / "field.bin")
+
+    def test_load_rejects_an_unknown_kind(self, tmp_path):
+        path = tmp_path / "field.bin"
+        header = {"kind": "bogus", "dim": 1, "N": 2, "L": 1.0, "axes": ["x1"]}
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n"
+                         + np.zeros(2, dtype="<c8").tobytes())
+        with pytest.raises(ShapeError, match="unknown field kind 'bogus'"):
+            ss.load_field(path)
+
     def test_header_is_json_line(self, tmp_path):
         g = ss.make_grid(1, 4, 2.0)
         field = ss.sample_config(lambda Y: 1.0, g)
         path = tmp_path / "field.bin"
         ss.dump_field(field, path)
-        import json
-
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["N"] == 4 and header["dim"] == 1 and header["axes"] == ["x1"]

@@ -127,6 +127,15 @@ class TestContextAndValidation:
         with pytest.raises(ShapeError):
             wl.compose_kernels(K1, K2)
 
+    def test_kernel_maps_reject_non_kernels(self):
+        ctx = zero_ctx(AB1, 8, 4.0)
+        K = wl.IntegralKernel(ctx.grid, np.eye(8))
+        with pytest.raises(ShapeError, match="expects an integral kernel"):
+            wl.symbol_from_kernel(ctx, np.eye(8))
+        for pair in ((K, np.eye(8)), (np.eye(8), K)):
+            with pytest.raises(ShapeError, match="expects two integral kernels"):
+                wl.compose_kernels(*pair)
+
 
 class TestKernelMap:
     def test_abelian_gaussian_kernel_closed_form(self):
@@ -790,20 +799,28 @@ class SwapCount:
 
 
 class TestFftOrder:
-    """The kernel maps keep their tables in FFT order between transforms:
-    the symbol is swapped once on entry and the adjoint's symbol once on
-    exit, and only small tables move in between. Centred in and out at
-    every transform, one Heisenberg:3 N = 8 op took 52 swaps per kernel, 8
-    per inverse and 8 per direct point."""
+    """The kernel maps keep their tables in FFT order from the symbol to
+    the kernel boundary, the axes that a mode sum contracts included: the
+    symbol is swapped once on entry and the adjoint's symbol once on exit,
+    and only small tables move in between. Centred in and out at every
+    transform, one Heisenberg:3 N = 8 op took 52 swaps per kernel, 8 per
+    inverse and 8 per direct point."""
 
     def test_swaps_per_map(self, monkeypatch):
         ctx = heis_ctx(8, 6.0)
         a = boxed_gaussian(ctx.grid, centers_x=[0.3, 0.0, -0.2])
         b = boxed_gaussian(ctx.grid, centers_xi=[0.1, -0.2, 0.0])
         K = wl.kernel_from_symbol(ctx, a)
+        # the filiform kernel sums a nonlinear axis, the skew one modal axes
+        fctx = filiform_ctx(2)
+        sctx = zero_ctx(HEIS_SKEW, 4, 3.0)
         counts = {}
         for name, call in (
                 ("kernel", lambda: wl.kernel_from_symbol(ctx, a)),
+                ("filiform kernel", lambda: wl.kernel_from_symbol(
+                    fctx, filiform_symbol(fctx.grid))),
+                ("skew kernel", lambda: wl.kernel_from_symbol(
+                    sctx, boxed_gaussian(sctx.grid, centers_x=[0.3, 0.0, -0.2]))),
                 ("inverse", lambda: wl.symbol_from_kernel(ctx, K)),
                 ("point", lambda: wl.moyal_2step_point(ctx, a, b, ctx.grid.axis_x[[3, 5, 4]],
                                                        np.array([0.2, -0.1, 0.3])))):
@@ -811,10 +828,11 @@ class TestFftOrder:
                 swaps = SwapCount(patch)
                 call()
             counts[name] = swaps.calls
-        assert counts["kernel"]["_half_swap"] <= 1
+        for name in ("kernel", "filiform kernel", "skew kernel"):
+            assert counts[name] == {"_half_swap": 1, "_half_swap_in_place": 0}, name
         assert counts["inverse"]["_half_swap"] == 0
         assert counts["inverse"]["_half_swap_in_place"] <= 2
-        assert counts["point"]["_half_swap"] <= 4
+        assert counts["point"] == {"_half_swap": 0, "_half_swap_in_place": 0}
 
     @pytest.mark.parametrize("axes", [[0], [2], [1, 3], [0, 1, 2, 3]])
     def test_pad_is_the_centred_pad_in_fft_order(self, axes):
