@@ -97,81 +97,130 @@ def _lagrange_matrix(x, nodes):
     return out
 
 
-def _grid_pair_values(grid, fn, degree, y_axes=None, z_axes=None):
-    """fn(Y, Z) on all grid pairs, shape (N^d, N^d), for a polynomial fn.
-
-    fn must be a real polynomial of degree <= degree in each of the 2d
-    coordinates of (Y, Z), batched over leading axes. It is evaluated only
-    on the tensor sub-grid of m = min(N, degree + 1) grid nodes per axis,
-    (m^d)^2 pairs in _PAIR_BUDGET blocks, and expanded to every pair by
-    per-axis Lagrange interpolation, which is exact for such fn up to
-    round-off. With m = N the Lagrange matrices would be identities, so the
-    evaluated block is returned as it is (or its sub-grid read off): every
-    value is fn's own, bit for bit.
-
-    y_axes and z_axes, lists of d grid-index arrays, restrict Y and Z to
-    the tensor sub-grids they span; the result is then
-    (prod |y_axes[i]|, prod |z_axes[i]|), raveled in "ij" order.
-    """
-    d, N = grid.dim, grid.points_per_axis
-    m = min(N, degree + 1)
-    nodes = grid.axis_x[np.round(np.linspace(0, N - 1, m)).astype(int)]
-    mesh = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    n = pts.shape[0]
-    vals = np.empty((n, n))
-    block = max(1, _PAIR_BUDGET // n)
-    for start in range(0, n, block):
-        vals[start:start + block] = fn(pts[start:start + block, None, :], pts[None, :, :])
-    full = [np.arange(N)] * d
+def _pair_nodes(grid, degree, y_axes, z_axes):
+    """The 2d grid-index arrays of `_grid_pair_values`, Y's axes then Z's,
+    and the interpolation nodes on each, as grid indices: the axis itself
+    when it has at most degree + 1 points, else degree + 1 of its own
+    points spread over it."""
+    full = [np.arange(grid.points_per_axis)] * grid.dim
     subsets = ((full if y_axes is None else list(y_axes))
                + (full if z_axes is None else list(z_axes)))
-    ny = int(np.prod([v.size for v in subsets[:d]]))
-    if m == N:
-        if y_axes is not None or z_axes is not None:
-            vals = vals.reshape((N,) * (2 * d))[np.ix_(*subsets)]
-        return vals.reshape(ny, -1)
-    out = vals.reshape((m,) * (2 * d))
-    # contract the leading axis and append the expanded one: after 2d steps
-    # the axes are back in (Y axes..., Z axes...) order
-    for sub in subsets:
-        out = np.tensordot(out, _lagrange_matrix(grid.axis_x[sub], nodes), axes=([0], [1]))
-    return out.reshape(ny, -1)
+    return subsets, [sub if sub.size <= degree + 1
+                     else sub[np.round(np.linspace(0, sub.size - 1, degree + 1)).astype(int)]
+                     for sub in subsets]
+
+
+def _pair_rows(nz):
+    """Rows of a node-pair block against nz columns: _PAIR_BUDGET // 8 pairs
+    (one node's points in `lie_core.gauss_sum`), or one row if that is more."""
+    return max(1, (_PAIR_BUDGET // 8) // nz)
+
+
+def _grid_pair_values(grid, fn, degree, y_axes=None, z_axes=None):
+    """fn(Y, Z) on the grid pairs of two tensor sub-grids, for a polynomial fn.
+
+    fn must be a real polynomial of degree <= degree in each of the 2d
+    coordinates of (Y, Z), batched over leading axes. y_axes and z_axes,
+    lists of d grid-index arrays, restrict Y and Z to the tensor sub-grids
+    they span, the whole grid by default; the result is
+    (prod |y_axes[i]|, prod |z_axes[i]|), raveled in "ij" order.
+
+    fn is evaluated only on a tensor sub-grid of nodes read off the
+    requested axes (`_pair_nodes`): an axis with at most degree + 1 points
+    is its own node set, a longer one gives degree + 1 of its points. The
+    node pairs go to fn in row blocks (`_pair_rows`), so no call outgrows
+    _PAIR_BUDGET // 8 pairs or one row, and the values are expanded along
+    the other axes by Lagrange interpolation, which is exact for such fn up
+    to round-off. Where every axis is its own node set, every value is
+    fn's own, bit for bit.
+    """
+    d = grid.dim
+    subsets, nodes = _pair_nodes(grid, degree, y_axes, z_axes)
+    y_pts, z_pts = (np.stack([g.ravel() for g in np.meshgrid(
+        *[grid.axis_x[v] for v in side], indexing="ij")], axis=-1)
+        for side in (nodes[:d], nodes[d:]))
+    vals = np.empty((y_pts.shape[0], z_pts.shape[0]))
+    block = _pair_rows(z_pts.shape[0])
+    for start in range(0, y_pts.shape[0], block):
+        vals[start:start + block] = fn(y_pts[start:start + block, None, :], z_pts[None, :, :])
+    out = vals.reshape([v.size for v in nodes])
+    # contract the leading axis and append the expanded one, or move an axis
+    # that is its own node set to the back: after 2d steps the axes are back
+    # in (Y axes..., Z axes...) order
+    for sub, node in zip(subsets, nodes):
+        if node.size < sub.size:
+            out = np.tensordot(out, _lagrange_matrix(grid.axis_x[sub], grid.axis_x[node]),
+                               axes=([0], [1]))
+        else:
+            out = np.moveaxis(out, 0, -1)
+    return out.reshape(int(np.prod([v.size for v in subsets[:d]])), -1)
+
+
+def _pair_values_bytes(grid, degree, call_bytes, y_axes=None, z_axes=None):
+    """Peak bytes of `_grid_pair_values`, its output included.
+
+    The node-pair values and either one block's call to fn (call_bytes of
+    the block's pair count) or the largest Lagrange step (its input, the
+    input's transposed copy and its output, in floats). Axes moved to the
+    back after the last expansion leave a view that the final reshape
+    copies: then the output twice.
+    """
+    d = grid.dim
+    subsets, nodes = _pair_nodes(grid, degree, y_axes, z_axes)
+    sizes = [v.size for v in nodes]
+    ny, nz = int(np.prod(sizes[:d])), int(np.prod(sizes[d:]))
+    expand = 0
+    for k, sub in enumerate(subsets):
+        if sizes[k] < sub.size:
+            step_in = int(np.prod(sizes))
+            sizes[k] = sub.size
+            expand = max(expand, 8 * (2 * step_in + int(np.prod(sizes))))
+    if expand and nodes[-1].size == subsets[-1].size:
+        expand = max(expand, 16 * int(np.prod(sizes)))
+    return 8 * ny * nz + max(call_bytes(min(ny, _pair_rows(nz)) * nz), expand)
+
+
+def _unit_phase(e):
+    """exp(i e) for a handed-over real table e, formed in one complex table:
+    the call peaks at e and the result, 24 bytes an entry.
+
+    i e is written part by part, the imaginary part 0 + e as the complex
+    product 1j * e forms it, bit for bit np.exp(1j * e); a float-to-complex
+    ufunc would add a cast buffer.
+    """
+    out = np.empty(e.shape, dtype=complex)
+    out.real[...] = 0.0
+    np.add(e, 0.0, out=out.imag)
+    del e
+    return np.exp(out, out=out)
 
 
 def _alpha_matrix(ctx):
     """alpha(Y, Z) on all grid pairs, shape (N^d, N^d). Cached.
 
-    exp(i e) is formed in one complex table, so the build peaks at 1.5
-    tables after the exponent's own (`_alpha_bytes`).
+    exp(i e) is formed in one complex table (`_unit_phase`), so the build
+    peaks at 1.5 tables after the exponent's own (`_alpha_bytes`).
     """
     if "alpha" not in ctx._cache:
         A = ctx.potential
-        e = _grid_pair_values(ctx.grid, partial(magnetic.alpha_exponent, A),
-                              magnetic.alpha_degree(A))
-        alpha = np.multiply(1j, e, out=np.empty(e.shape, dtype=complex))
-        del e
-        ctx._cache["alpha"] = np.exp(alpha, out=alpha)
+        ctx._cache["alpha"] = _unit_phase(_grid_pair_values(
+            ctx.grid, partial(magnetic.alpha_exponent, A), magnetic.alpha_degree(A)))
     return ctx._cache["alpha"]
 
 
 def _alpha_bytes(ctx):
     """Peak bytes of building alpha (`_alpha_matrix`); 0 once it is cached.
 
-    The exponent's (m^d)^2 node-pair values and either the quadrature on one
-    block of node pairs (`magnetic._alpha_exponent_bytes`) or the last
-    Lagrange step (its input, the input's transposed copy and its output,
-    in floats); then the exponent and alpha, 1.5 kernel-sized tables.
+    The exponent's build (`_pair_values_bytes`, one block's quadrature
+    counted by `magnetic._alpha_exponent_bytes`), then the exponent and
+    alpha, 1.5 kernel-sized tables.
     """
     if "alpha" in ctx._cache:
         return 0
     grid, A = ctx.grid, ctx.potential
-    d, N = grid.dim, grid.points_per_axis
-    m = min(N, magnetic.alpha_degree(A) + 1)
-    n, n2 = m ** d, N ** (2 * d)
-    pairs = min(n, max(1, _PAIR_BUDGET // n)) * n
-    expand = 0 if m == N else 8 * (2 * N ** (2 * d - 1) * m + n2)
-    return max(8 * n * n + max(magnetic._alpha_exponent_bytes(A, pairs), expand), 24 * n2)
+    build = _pair_values_bytes(grid, magnetic.alpha_degree(A),
+                               partial(magnetic._alpha_exponent_bytes, A))
+    return max(build, 24 * grid.points_per_axis ** (2 * grid.dim))
 
 
 class _AxisRoles(NamedTuple):
@@ -343,6 +392,7 @@ def _derived_phase(x, zeta, bound, const, lin_p, lin_q, bil):
             out = out * f
         return out * (np.abs(w) < bound)[..., None]
 
+    phase.nbytes = head.nbytes + sum(t.nbytes for t in tables)
     return phase
 
 
@@ -1010,9 +1060,10 @@ def _moyal_beta(ctx, X, t_axes=None, z_axes=None):
 
     Its exponent -e(Y0, Z0) + e(Y0, S) + e(S, Z0), e = alpha_exponent, is
     alpha's exponent under affine substitutions of (T, Z), so it keeps
-    alpha_degree and is compiled the same way as the alpha matrix. t_axes
-    and z_axes restrict T and Z to tensor sub-grids (`_grid_pair_values`);
-    by default the shape is (N^d, N^d).
+    alpha_degree and is compiled the same way as the alpha matrix, on
+    nodes read off the sub-grids it is asked for (`_grid_pair_values`).
+    t_axes and z_axes restrict T and Z to tensor sub-grids; by default the
+    shape is (N^d, N^d).
     """
     A = ctx.potential
 
@@ -1021,8 +1072,26 @@ def _moyal_beta(ctx, X, t_axes=None, z_axes=None):
         return (magnetic.alpha_exponent(A, Y0, S) + magnetic.alpha_exponent(A, S, Z0)
                 - magnetic.alpha_exponent(A, Y0, Z0))
 
-    return np.exp(1j * _grid_pair_values(ctx.grid, exponent, magnetic.alpha_degree(A),
+    return _unit_phase(_grid_pair_values(ctx.grid, exponent, magnetic.alpha_degree(A),
                                          t_axes, z_axes))
+
+
+def _moyal_beta_bytes(ctx, t_axes, z_axes):
+    """Peak bytes of `_moyal_beta` on the sub-grids t_axes and z_axes.
+
+    The exponent's build (`_pair_values_bytes`), where one block's call
+    holds Y0, Z0 and S, a partial sum and one quadrature
+    (`magnetic._alpha_exponent_bytes`); then the exponent and beta, 24
+    bytes a pair.
+    """
+    A, d = ctx.potential, ctx.grid.dim
+
+    def call_bytes(pairs):
+        return 8 * pairs * (3 * d + 1) + magnetic._alpha_exponent_bytes(A, pairs)
+
+    pairs = int(np.prod([v.size for v in t_axes])) * int(np.prod([v.size for v in z_axes]))
+    return max(_pair_values_bytes(ctx.grid, magnetic.alpha_degree(A), call_bytes,
+                                  t_axes, z_axes), 24 * pairs)
 
 
 def moyal_2step_point(ctx, a, b, X, xi):
@@ -1045,6 +1114,15 @@ def moyal_2step_point(ctx, a, b, X, xi):
     regular coordinates of u or v leave the |.| < L window add exact zeros,
     so T and Z run over tensor sub-grids, and At and Bt are transformed on
     those rows only; with no regular axis the sub-grids are the whole grid.
+
+    The cost follows what the sum reads. beta's exponent is evaluated on
+    nodes read off the two windows (`_grid_pair_values`): at Heisenberg:3,
+    N = 8, 4 x 4 x (degree + 1) points a side. T rows go in blocks whose
+    gathered tables and phases, (2N)^|derived| entries a pair, stay within
+    _PAIR_BUDGET entries two at a time. One estimate of the working memory
+    (beta's build, then beta, the two half-transform tables and the larger
+    of a table's build or one T block) is checked before any table is
+    allocated.
     """
     alg, grid = ctx.algebra, ctx.grid
     if alg.nilpotency_class > 1:
@@ -1071,8 +1149,8 @@ def moyal_2step_point(ctx, a, b, X, xi):
     # brackets land on derived axes only, so the regular coordinates of u
     # and v are the on-grid 2(X-T) and 2(Z-X); pairs outside their |.| < L
     # windows contribute exact zeros, which leaves tensor sub-grids of T
-    # and Z: T rows in _PAIR_BUDGET blocks, Z as a tensor layout; the tables
-    # hold those windows in FFT order, r at r mod N
+    # and Z: T rows in blocks, Z as a tensor layout; the tables hold those
+    # windows in FFT order, r at r mod N
     def window(shift):
         r = 2 * shift
         return np.all((r >= -half) & (r < half), axis=0), r % N
@@ -1086,10 +1164,6 @@ def moyal_2step_point(ctx, a, b, X, xi):
     z_idx = [v.reshape((1,) * (1 + ax) + (-1,) + (1,) * (d - 1 - ax))
              for ax, v in enumerate(z_axes)]
     iv = iv[:, zs]
-    # At is read only at the Z rows and Bt only at the T rows, so each
-    # table is built on its window's sub-grid, rows in zs and ts order
-    Ca = _half_transform_table(ctx, a, z_axes)
-    Cb = _half_transform_table(ctx, b, t_axes)
 
     # u_c = 2(X-T)_c + [Z, X-T]_c and v_c = 2(Z-X)_c + [T, Z-X]_c as
     # functions of the pair (P, Q) = (T, Z)
@@ -1100,16 +1174,41 @@ def moyal_2step_point(ctx, a, b, X, xi):
         u_fns.append(_derived_phase(x, zeta, 2 * L, 2 * X[c], -2 * e[c], cc @ X, -cc.T))
         v_fns.append(_derived_phase(x, zeta, 2 * L, -2 * X[c], -(cc @ X), 2 * e[c], cc))
 
+    # a T block's tables, the gathered At or Bt and one side's derived
+    # phases, hold at most (2N)^|der| entries a pair each: T rows go in
+    # blocks of one row or more, two such tables within _PAIR_BUDGET entries
+    modes = (2 * N) ** len(der)
+    block = max(1, _PAIR_BUDGET // (2 * zs.size * modes))
+    pairs = min(block, ts.size) * zs.size
+    # one estimate before the tables: beta's build; then beta, At's and Bt's
+    # half-transform tables and either one table's build (its gathered rows
+    # and a padded or transposed copy) or one T block (a gathered table, one
+    # side's phases and the products forming them, the other side's sums
+    # and the block's product); the derived phases' tables, the grid-sized
+    # index and phase vectors, and small arrays
+    row = N ** len(reg) * modes
+    t_block = 16 * pairs * (modes + 2 * N * (len(der) + 2) + 4)
+    build = 16 * max(ts.size, zs.size) * (N ** d + row)
+    _check_work_bytes(
+        max(_moyal_beta_bytes(ctx, t_axes, z_axes),
+            16 * (ts.size * zs.size + row * (ts.size + zs.size)) + max(build, t_block))
+        + sum(fn.nbytes for fn in u_fns + v_fns) + 8 * n * (6 * d + 7) + (1 << 16))
+
+    # beta on the window pairs only, rows in ts order and columns in zs
+    # order, built first, beside the grid-sized vectors only
+    beta = _moyal_beta(ctx, X, t_axes, z_axes)
+    # At is read only at the Z rows and Bt only at the T rows, so each
+    # table is built on its window's sub-grid, rows in zs and ts order
+    Ca = _half_transform_table(ctx, a, z_axes)
+    Cb = _half_transform_table(ctx, b, t_axes)
+
     # e^{-i <xi, 2(Z-T) + [X, Z-T]>} = e^{-i phi(Z)} e^{i phi(T)}, phi linear
     g = 2 * xi + np.einsum('ijk,i,k->j', cstr, X, xi)
     phi = pts @ g
     z_phase = np.exp(-1j * phi)
     t_phase = np.conj(z_phase)
 
-    # beta on the window pairs only, rows in ts order and columns in zs order
-    beta = _moyal_beta(ctx, X, t_axes, z_axes)
     total = 0.0 + 0.0j
-    block = max(1, _PAIR_BUDGET // zs.size)
     for t0 in range(0, ts.size, block):
         tb = ts[t0:t0 + block]
         nt = tb.size

@@ -1,6 +1,7 @@
 """Tests for kernels, the twisted representation, and the Moyal product."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import oracles
@@ -66,6 +67,14 @@ def heis_ctx(N, L, b=0.4, **kw):
     grid = sp.make_grid(3, N, L)
     A = mg.potential_preset(f"heisenberg-linear:{b}", HEIS)
     return wl.make_context(HEIS, A, grid, **kw)
+
+
+def gauge_partner(A):
+    """heis-moyal's gauge partner A + d psi, psi = 0.1 x1^2 x2 + 0.05 x3^2:
+    on heisenberg-linear (alpha_degree 4) a potential of alpha_degree 6."""
+    table = np.zeros((3, 2, 3))
+    table[2, 1, 0], table[0, 0, 2] = 0.1, 0.05
+    return mg.add_potentials(A, mg.gradient_potential(mg.GaugeFunction(A.algebra, table)))
 
 
 def filiform_ctx(N, seed=6, **kw):
@@ -962,7 +971,45 @@ class TestWorkBudget:
         assert len(estimates) == 1
         assert peak <= estimates[0]
 
-    @pytest.mark.parametrize("function", ["kernel_from_symbol", "symbol_from_kernel"])
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("N", [8, 12])
+    def test_moyal_point_peak_within_its_estimate(self, N, degree, monkeypatch):
+        # heisenberg-linear and its gauge partner at the probe [3, 4, 5], on
+        # a fresh context. numpy imports numpy.ma (np.unique) and
+        # numpy.polynomial (the Gauss-Legendre nodes) on first use, which is
+        # not working memory, so a small direct point runs first
+        small = heis_ctx(4, 3.0)
+        s = boxed_gaussian(small.grid)
+        wl.moyal_2step_point(small, s, s, np.zeros(3), np.zeros(3))
+        grid = sp.make_grid(3, N, 6.0)
+        A = mg.potential_preset("heisenberg-linear:0.4", HEIS)
+        ctx = wl.make_context(HEIS, A if degree == 4 else gauge_partner(A), grid)
+        assert mg.alpha_degree(ctx.potential) == degree
+        a = boxed_gaussian(grid, centers_x=[0.3, 0.0, -0.2])
+        b = boxed_gaussian(grid, centers_xi=[0.1, -0.2, 0.0])
+        peak, estimates = self.peak_and_estimates(
+            monkeypatch, lambda: wl.moyal_2step_point(ctx, a, b, grid.axis_x[[3, 4, 5]],
+                                                      np.array([0.2, -0.1, 0.3])))
+        print(f"PEAK moyal_2step_point N={N} degree={degree} peak={peak} "
+              f"estimate={estimates[0]}")
+        assert len(estimates) == 1
+        assert peak <= estimates[0]
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    def test_alpha_build_peak_within_its_estimate(self, degree, monkeypatch):
+        # the degree-6 exponent is evaluated in several blocks, the degree-4
+        # one in one; both are expanded from 343 or 125 grid nodes
+        A = mg.potential_preset("heisenberg-linear:0.4", HEIS)
+        ctx = wl.make_context(HEIS, A if degree == 4 else gauge_partner(A),
+                              sp.make_grid(3, 8, 6.0))
+        assert mg.alpha_degree(ctx.potential) == degree
+        estimate = wl._alpha_bytes(ctx)
+        peak, _ = self.peak_and_estimates(monkeypatch, lambda: wl._alpha_matrix(ctx))
+        print(f"PEAK alpha N=8 degree={degree} peak={peak} estimate={estimate}")
+        assert peak <= estimate
+
+    @pytest.mark.parametrize("function", ["kernel_from_symbol", "symbol_from_kernel",
+                                          "moyal_2step_point"])
     def test_refusal_comes_before_the_tables(self, function, monkeypatch):
         # a budget of one kernel table refuses Heisenberg:3 at N = 8; the entry
         # points raise before they allocate as much as one table
@@ -970,7 +1017,9 @@ class TestWorkBudget:
         a = boxed_gaussian(ctx.grid)
         K, fresh = wl.kernel_from_symbol(ctx, a), heis_ctx(8, 6.0)
         run = {"kernel_from_symbol": lambda: wl.kernel_from_symbol(fresh, a),
-               "symbol_from_kernel": lambda: wl.symbol_from_kernel(fresh, K)}[function]
+               "symbol_from_kernel": lambda: wl.symbol_from_kernel(fresh, K),
+               "moyal_2step_point": lambda: wl.moyal_2step_point(
+                   fresh, a, a, fresh.grid.axis_x[[3, 4, 5]], np.zeros(3))}[function]
         table = K.values.nbytes
         monkeypatch.setattr(wl, "_MAX_WORK_BYTES", table)
         sp.centered_dft(np.zeros(2), [0])
@@ -1040,11 +1089,7 @@ class TestBatchedBits:
         rng = np.random.default_rng([48, alg.dim])
         out = [self.dense_potential(alg, rng, deg) for deg in range(4)]
         if name == "heisenberg:3":
-            # heis-moyal's gauge partner: A + d psi, psi = c0 x1^2 x2 + c1 x3^2
-            table = np.zeros((3, 2, 3))
-            table[2, 1, 0], table[0, 0, 2] = 0.1, 0.05
-            dpsi = mg.gradient_potential(mg.GaugeFunction(alg, table))
-            out.append(mg.add_potentials(mg.potential_preset("heisenberg-linear:0.4", alg), dpsi))
+            out.append(gauge_partner(mg.potential_preset("heisenberg-linear:0.4", alg)))
         return out
 
     @staticmethod
@@ -1153,6 +1198,43 @@ class TestCompiledPhases:
         A = random_potential(FIL, np.random.default_rng(35), degree=1)
         ctx = wl.make_context(FIL, A, sp.make_grid(4, 4, 3.0))
         assert np.array_equal(wl._alpha_matrix(ctx), oracles.alpha_matrix_dense(ctx))
+
+    @pytest.mark.parametrize("degree, pairs", [(4, 6400), (6, 12544)])
+    def test_moyal_beta_reads_nodes_on_the_windows(self, degree, pairs, monkeypatch):
+        # Heisenberg:3 at N = 8 and the probe [3, 4, 5]: T and Z run over
+        # windows of 4 x 4 x 8 points; the two regular axes are their own
+        # node sets and the central one gives degree + 1 nodes, so beta's
+        # exponent reads (4 * 4 * (degree + 1))^2 node pairs, three
+        # alpha_exponent calls each, in blocks of at most _PAIR_BUDGET // 8
+        calls = []
+        exponent = mg.alpha_exponent
+
+        def record(A, Y, Z):
+            calls.append(np.broadcast_shapes(Y.shape[:-1], Z.shape[:-1]))
+            return exponent(A, Y, Z)
+
+        A = mg.potential_preset("heisenberg-linear:0.4", HEIS)
+        ctx = wl.make_context(HEIS, A if degree == 4 else gauge_partner(A),
+                              sp.make_grid(3, 8, 6.0))
+        assert mg.alpha_degree(ctx.potential) == degree
+        a = boxed_gaussian(ctx.grid)
+        monkeypatch.setattr(mg, "alpha_exponent", record)
+        wl.moyal_2step_point(ctx, a, a, ctx.grid.axis_x[[3, 4, 5]], np.array([0.2, -0.1, 0.3]))
+        sizes = [int(np.prod(shape)) for shape in calls]
+        assert sum(sizes) == 3 * pairs
+        assert max(sizes) <= lc._PAIR_BUDGET // 8
+
+    def test_pair_values_on_short_axes_are_the_functions_own(self):
+        # every requested axis has at most degree + 1 = 5 points, so each is
+        # its own node set: the values are fn's, with no interpolation
+        ctx = heis_ctx(8, 6.0)
+        A, x = ctx.potential, ctx.grid.axis_x
+        y_axes = [np.array([1, 2, 3, 4]), np.array([0, 5]), np.array([2, 3, 4, 6, 7])]
+        z_axes = [np.array([3]), np.array([4, 5, 6, 7]), np.array([0, 1, 2])]
+        fn = partial(mg.alpha_exponent, A)
+        got = wl._grid_pair_values(ctx.grid, fn, mg.alpha_degree(A), y_axes, z_axes)
+        Y, Z = oracles._mode_coords(x, 3, y_axes), oracles._mode_coords(x, 3, z_axes)
+        assert np.array_equal(got, fn(Y[:, None, :], Z[None, :, :]))
 
     def test_moyal_point_matches_dense_beta(self, monkeypatch):
         A = random_potential(HEIS, np.random.default_rng(36), degree=2)
